@@ -210,7 +210,7 @@ mod tests {
     /// old check-then-insert race (compile outside any lock) would
     /// reliably produce duplicate compiles here.
     struct CountingBackend {
-        inner: SequentialBackend,
+        inner: crate::TiledBackend,
         compiles: AtomicU64,
     }
 

@@ -55,10 +55,6 @@ pub struct CJitBackend {
     pub cache_dir: Option<PathBuf>,
     /// Use the persistent artifact cache (on by default).
     pub disk_cache: bool,
-    /// Emit specialized closed-form value expressions plus `#pragma omp
-    /// simd` inner loops for kernels the specialization pass matched (see
-    /// `crate::specialize`); on by default, bitwise-neutral.
-    pub specialize: bool,
     /// Compiles served from the artifact cache (shared across clones).
     disk_hits: Arc<AtomicU64>,
     /// Compiles that invoked the C compiler (shared across clones).
@@ -80,7 +76,6 @@ impl Default for CJitBackend {
             ],
             cache_dir: None,
             disk_cache: true,
-            specialize: true,
             disk_hits: Arc::new(AtomicU64::new(0)),
             disk_misses: Arc::new(AtomicU64::new(0)),
         }
@@ -114,12 +109,6 @@ impl CJitBackend {
     /// Enable or disable the persistent artifact cache (builder style).
     pub fn with_disk_cache(mut self, on: bool) -> Self {
         self.disk_cache = on;
-        self
-    }
-
-    /// Enable or disable kernel specialization (builder style).
-    pub fn with_specialize(mut self, on: bool) -> Self {
-        self.specialize = on;
         self
     }
 
@@ -334,9 +323,9 @@ impl Backend for CJitBackend {
             )));
         }
         let mut lowered = lower_group(group, shapes, &self.options)?;
-        if self.specialize {
-            crate::specialize::specialize_lowered(&mut lowered);
-        }
+        // Specialized kernels render closed-form value expressions plus
+        // `#pragma omp simd` inner loops (see `crate::specialize`).
+        crate::specialize::specialize_lowered(&mut lowered);
         let source = emit_c(&lowered, "snowflake_run");
         let lib = self.build(&source)?;
         // SAFETY: the symbol exists in the generated translation unit with

@@ -44,11 +44,6 @@ pub struct DistBackend {
     pub ranks: usize,
     /// Lowering options.
     pub options: LowerOptions,
-    /// Attach closed-form specialization records at compile time (see
-    /// `crate::specialize`); on by default, bitwise-neutral. The dist
-    /// prototype only accepts parallel-safe kernels, so every kernel is a
-    /// specialization candidate.
-    pub specialize: bool,
 }
 
 impl Default for DistBackend {
@@ -66,14 +61,7 @@ impl DistBackend {
         DistBackend {
             ranks,
             options: LowerOptions::default(),
-            specialize: true,
         }
-    }
-
-    /// Enable or disable kernel specialization (builder style).
-    pub fn with_specialize(mut self, on: bool) -> Self {
-        self.specialize = on;
-        self
     }
 
     /// Set the simulated rank count (builder style).
@@ -125,9 +113,7 @@ impl DistBackend {
         for k in &lowered.kernels {
             check_limits(k)?;
         }
-        if self.specialize {
-            crate::specialize::specialize_lowered(&mut lowered);
-        }
+        crate::specialize::specialize_lowered(&mut lowered);
         // Prototype restrictions.
         let n0 = lowered.grid_shapes[0][0];
         for shape in &lowered.grid_shapes {

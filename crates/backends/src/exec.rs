@@ -1,10 +1,12 @@
 //! The shared kernel executor: runs one lowered kernel over one region.
 //!
-//! All CPU backends (sequential, OpenMP-like, OpenCL-simulator) funnel into
+//! The tiled presets (`seq`, `omp`, `oclsim`) and `dist` funnel into
 //! [`run_kernel_region`]. The loop nest walks the region in row-major
 //! order, keeping one linear *cursor* per access class; the innermost loop
-//! advances the cursors by precomputed steps and evaluates either the
-//! linear-form fast path (fused multiply-adds) or the bytecode program.
+//! advances the cursors by precomputed steps and evaluates the chunked
+//! executors of [`crate::specialize`] (parallel-safe kernels with a
+//! closed-form record), the per-point linear or sum-of-products forms
+//! (sequential kernels), or the bytecode program.
 //!
 //! Execution order within a region is canonical row-major, which defines
 //! the semantics of kernels that are *not* parallel-safe (lexicographic
@@ -13,7 +15,7 @@
 
 #![allow(clippy::needless_range_loop)] // cursor bumps index parallel fixed arrays
 
-use snowflake_grid::Region;
+use snowflake_grid::{Region, MAX_DIMS};
 use snowflake_ir::bytecode::LinearForm;
 use snowflake_ir::{LoweredKernel, Op};
 
@@ -56,53 +58,136 @@ pub unsafe fn run_kernel_region(kernel: &LoweredKernel, view: &GridPtrs<'_>, reg
     if region.is_empty() {
         return;
     }
-    let nd = region.ndim();
-    let last = nd - 1;
-    let ncls = kernel.classes.len();
-    debug_assert!(ncls <= MAX_CLASSES);
+    let row = RowPlan::new(kernel, region);
+    // SAFETY: forwarded from this function's contract.
+    for_each_row(region, |p| unsafe { row.run(view, p) });
+}
 
-    // Per-class grid table and innermost steps.
-    let mut class_grid = [0usize; MAX_CLASSES];
-    let mut inner_step = [0isize; MAX_CLASSES];
-    for (c, cl) in kernel.classes.iter().enumerate() {
-        class_grid[c] = cl.grid;
-        inner_step[c] = cl.step(last, region.stride[last]);
+/// Execute the kernels `ids` of `kernels` *fused* over one shared region:
+/// a single traversal of the iteration space, with every kernel's row
+/// evaluated back-to-back while the data is cache-resident (§VII's "mark
+/// stencils for fusion", taken to execution).
+///
+/// # Safety
+/// As [`run_kernel_region`], for every kernel; additionally the kernels
+/// must be mutually independent (same barrier phase), so any interleaving
+/// of their iterations is legal.
+pub unsafe fn run_fused_region(
+    kernels: &[LoweredKernel],
+    ids: &[usize],
+    view: &GridPtrs<'_>,
+    region: &Region,
+) {
+    if region.is_empty() {
+        return;
     }
-    let out_class = kernel.out_class as usize;
-    let out_grid = kernel.out_grid;
-    let out_delta = kernel.out_delta;
-    let e_last = region.extent(last);
+    let rows: Vec<RowPlan<'_>> = ids
+        .iter()
+        .map(|&k| RowPlan::new(&kernels[k], region))
+        .collect();
+    for_each_row(region, |p| {
+        for row in &rows {
+            // SAFETY: forwarded from this function's contract.
+            unsafe { row.run(view, p) };
+        }
+    });
+}
 
-    // Odometer over the outer dimensions; cursors recomputed per row (the
-    // row interior is the hot path).
-    let mut p: Vec<i64> = region.lo.clone();
+/// Visit the first point of every innermost row of `region`, in
+/// row-major order. `region` must be non-empty.
+#[inline(always)]
+fn for_each_row(region: &Region, mut row: impl FnMut(&[i64])) {
+    let nd = region.ndim();
+    let mut p = [0i64; MAX_DIMS];
+    p[..nd].copy_from_slice(&region.lo);
     loop {
+        row(&p[..nd]);
+        if nd == 1 {
+            return;
+        }
+        let mut d = nd - 2;
+        loop {
+            p[d] += region.stride[d];
+            if p[d] < region.hi[d] {
+                break;
+            }
+            p[d] = region.lo[d];
+            if d == 0 {
+                return;
+            }
+            d -= 1;
+        }
+    }
+}
+
+/// The row-invariant part of one kernel's walk over one region: the
+/// per-class grid table and innermost cursor steps.
+struct RowPlan<'k> {
+    kernel: &'k LoweredKernel,
+    class_grid: [usize; MAX_CLASSES],
+    inner_step: [isize; MAX_CLASSES],
+    out_step: isize,
+    count: i64,
+    /// Every cursor (the output's included) advances by 1 along the row.
+    unit: bool,
+}
+
+impl<'k> RowPlan<'k> {
+    fn new(kernel: &'k LoweredKernel, region: &Region) -> Self {
+        let last = region.ndim() - 1;
+        let ncls = kernel.classes.len();
+        debug_assert!(ncls <= MAX_CLASSES);
+        let mut class_grid = [0usize; MAX_CLASSES];
+        let mut inner_step = [0isize; MAX_CLASSES];
+        for (c, cl) in kernel.classes.iter().enumerate() {
+            class_grid[c] = cl.grid;
+            inner_step[c] = cl.step(last, region.stride[last]);
+        }
+        RowPlan {
+            kernel,
+            class_grid,
+            inner_step,
+            out_step: inner_step[kernel.out_class as usize],
+            count: region.extent(last),
+            unit: inner_step[..ncls].iter().all(|&st| st == 1),
+        }
+    }
+
+    /// Advance the cursors and the output index by one point.
+    #[inline(always)]
+    fn step(&self, cur: &mut [isize; MAX_CLASSES], out_idx: &mut isize) {
+        for s in 0..self.kernel.classes.len() {
+            cur[s] += self.inner_step[s];
+        }
+        *out_idx += self.out_step;
+    }
+
+    /// Evaluate the row starting at point `p`.
+    ///
+    /// # Safety
+    /// As [`run_kernel_region`].
+    #[inline(always)]
+    unsafe fn run(&self, view: &GridPtrs<'_>, p: &[i64]) {
+        let kernel = self.kernel;
         let mut cur = [0isize; MAX_CLASSES];
         for (c, cl) in kernel.classes.iter().enumerate() {
-            cur[c] = cl.cursor_at(&p);
+            cur[c] = cl.cursor_at(p);
         }
-        let mut out_idx = cur[out_class] + out_delta;
-        let out_step = inner_step[out_class];
-
-        // Unit-stride rows of parallel-safe kernels take the vectorized
-        // executors: per-term slice passes the compiler can SIMD. (The
-        // chunked read-all-then-write-all order is safe exactly because
-        // the Diophantine analysis proved no iteration reads another
-        // iteration's write.)
-        let unit =
-            kernel.parallel_safe && out_step == 1 && inner_step[..ncls].iter().all(|&st| st == 1);
-        // Specialized kernels (closed-form record attached by the plan-time
-        // specialization pass) take the tight fused/strided executors;
-        // everything below remains the generic interpreter fallback.
+        let mut out_idx = cur[kernel.out_class as usize] + kernel.out_delta;
+        // Parallel-safe kernels with a closed-form record (every linear or
+        // sum-of-products one) take the chunked executors; their
+        // read-all-then-write-all order is safe exactly because the
+        // Diophantine analysis proved no iteration reads another
+        // iteration's write. Sequential kernels keep canonical point order.
         if let Some(spec) = kernel.spec.as_ref().filter(|_| kernel.parallel_safe) {
-            if unit {
+            if self.unit {
                 crate::specialize::run_row_spec_unit(
                     spec,
                     view,
                     &cur,
-                    &class_grid,
-                    e_last,
-                    out_grid,
+                    &self.class_grid,
+                    self.count,
+                    kernel.out_grid,
                     out_idx,
                 );
             } else {
@@ -110,405 +195,71 @@ pub unsafe fn run_kernel_region(kernel: &LoweredKernel, view: &GridPtrs<'_>, reg
                     spec,
                     view,
                     &cur,
-                    &class_grid,
-                    &inner_step,
-                    e_last,
-                    out_grid,
+                    &self.class_grid,
+                    &self.inner_step,
+                    self.count,
+                    kernel.out_grid,
                     out_idx,
-                    out_step,
+                    self.out_step,
                 );
             }
         } else if let Some(lf) = &kernel.linear {
-            if unit {
-                run_row_linear_unit(lf, view, &cur, &class_grid, e_last, out_grid, out_idx);
-            } else {
-                run_row_linear(
-                    lf,
-                    view,
-                    &mut cur,
-                    &class_grid,
-                    &inner_step,
-                    ncls,
-                    e_last,
-                    {
-                        RowOut {
-                            grid: out_grid,
-                            idx: &mut out_idx,
-                            step: out_step,
-                        }
-                    },
-                );
-            }
+            run_row_linear(lf, view, self, cur, out_idx);
         } else if let Some(pf) = &kernel.poly {
-            if unit {
-                run_row_poly_unit(pf, view, &cur, &class_grid, e_last, out_grid, out_idx);
-            } else {
-                run_row_poly(
-                    pf,
-                    view,
-                    &mut cur,
-                    &class_grid,
-                    &inner_step,
-                    ncls,
-                    e_last,
-                    {
-                        RowOut {
-                            grid: out_grid,
-                            idx: &mut out_idx,
-                            step: out_step,
-                        }
-                    },
-                );
-            }
+            run_row_poly(pf, view, self, cur, out_idx);
         } else {
-            for _ in 0..e_last {
-                let v = eval_bytecode(kernel, &cur, &class_grid, view);
-                view.write(out_grid, out_idx, v);
-                for s in 0..ncls {
-                    cur[s] += inner_step[s];
-                }
-                out_idx += out_step;
+            for _ in 0..self.count {
+                let v = eval_bytecode(kernel, &cur, &self.class_grid, view);
+                view.write(kernel.out_grid, out_idx, v);
+                self.step(&mut cur, &mut out_idx);
             }
         }
-
-        // Advance the outer odometer.
-        if nd == 1 {
-            return;
-        }
-        let mut d = last - 1;
-        loop {
-            p[d] += region.stride[d];
-            if p[d] < region.hi[d] {
-                break;
-            }
-            p[d] = region.lo[d];
-            if d == 0 {
-                return;
-            }
-            d -= 1;
-        }
-    }
-}
-
-struct RowOut<'a> {
-    grid: usize,
-    idx: &'a mut isize,
-    step: isize,
-}
-
-/// Execute several kernels *fused* over one shared region: a single
-/// traversal of the iteration space, with every kernel's row evaluated
-/// back-to-back while the data is cache-resident (§VII's "mark stencils
-/// for fusion", taken to execution).
-///
-/// # Safety
-/// As [`run_kernel_region`], for every kernel; additionally the kernels
-/// must be mutually independent (same barrier phase), so any interleaving
-/// of their iterations is legal.
-pub unsafe fn run_fused_region(kernels: &[&LoweredKernel], view: &GridPtrs<'_>, region: &Region) {
-    if region.is_empty() || kernels.is_empty() {
-        return;
-    }
-    let nd = region.ndim();
-    let last = nd - 1;
-    let e_last = region.extent(last);
-
-    // Per-kernel row context.
-    struct Ctx<'k> {
-        kernel: &'k LoweredKernel,
-        class_grid: [usize; MAX_CLASSES],
-        inner_step: [isize; MAX_CLASSES],
-        unit: bool,
-    }
-    let ctxs: Vec<Ctx<'_>> = kernels
-        .iter()
-        .map(|kernel| {
-            let mut class_grid = [0usize; MAX_CLASSES];
-            let mut inner_step = [0isize; MAX_CLASSES];
-            for (c, cl) in kernel.classes.iter().enumerate() {
-                class_grid[c] = cl.grid;
-                inner_step[c] = cl.step(last, region.stride[last]);
-            }
-            let ncls = kernel.classes.len();
-            let out_step = inner_step[kernel.out_class as usize];
-            let unit = kernel.parallel_safe
-                && out_step == 1
-                && inner_step[..ncls].iter().all(|&st| st == 1);
-            Ctx {
-                kernel,
-                class_grid,
-                inner_step,
-                unit,
-            }
-        })
-        .collect();
-
-    let mut p: Vec<i64> = region.lo.clone();
-    loop {
-        for ctx in &ctxs {
-            let kernel = ctx.kernel;
-            let ncls = kernel.classes.len();
-            let mut cur = [0isize; MAX_CLASSES];
-            for (c, cl) in kernel.classes.iter().enumerate() {
-                cur[c] = cl.cursor_at(&p);
-            }
-            let mut out_idx = cur[kernel.out_class as usize] + kernel.out_delta;
-            let out_step = ctx.inner_step[kernel.out_class as usize];
-            if let Some(spec) = kernel.spec.as_ref().filter(|_| kernel.parallel_safe) {
-                if ctx.unit {
-                    crate::specialize::run_row_spec_unit(
-                        spec,
-                        view,
-                        &cur,
-                        &ctx.class_grid,
-                        e_last,
-                        kernel.out_grid,
-                        out_idx,
-                    );
-                } else {
-                    crate::specialize::run_row_spec_strided(
-                        spec,
-                        view,
-                        &cur,
-                        &ctx.class_grid,
-                        &ctx.inner_step,
-                        e_last,
-                        kernel.out_grid,
-                        out_idx,
-                        out_step,
-                    );
-                }
-            } else if let Some(lf) = &kernel.linear {
-                if ctx.unit {
-                    run_row_linear_unit(
-                        lf,
-                        view,
-                        &cur,
-                        &ctx.class_grid,
-                        e_last,
-                        kernel.out_grid,
-                        out_idx,
-                    );
-                } else {
-                    run_row_linear(
-                        lf,
-                        view,
-                        &mut cur,
-                        &ctx.class_grid,
-                        &ctx.inner_step,
-                        ncls,
-                        e_last,
-                        RowOut {
-                            grid: kernel.out_grid,
-                            idx: &mut out_idx,
-                            step: out_step,
-                        },
-                    );
-                }
-            } else if let Some(pf) = &kernel.poly {
-                if ctx.unit {
-                    run_row_poly_unit(
-                        pf,
-                        view,
-                        &cur,
-                        &ctx.class_grid,
-                        e_last,
-                        kernel.out_grid,
-                        out_idx,
-                    );
-                } else {
-                    run_row_poly(
-                        pf,
-                        view,
-                        &mut cur,
-                        &ctx.class_grid,
-                        &ctx.inner_step,
-                        ncls,
-                        e_last,
-                        RowOut {
-                            grid: kernel.out_grid,
-                            idx: &mut out_idx,
-                            step: out_step,
-                        },
-                    );
-                }
-            } else {
-                for _ in 0..e_last {
-                    let v = eval_bytecode(kernel, &cur, &ctx.class_grid, view);
-                    view.write(kernel.out_grid, out_idx, v);
-                    for s in 0..ncls {
-                        cur[s] += ctx.inner_step[s];
-                    }
-                    out_idx += out_step;
-                }
-            }
-        }
-        if nd == 1 {
-            return;
-        }
-        let mut d = last - 1;
-        loop {
-            p[d] += region.stride[d];
-            if p[d] < region.hi[d] {
-                break;
-            }
-            p[d] = region.lo[d];
-            if d == 0 {
-                return;
-            }
-            d -= 1;
-        }
-    }
-}
-
-/// Row chunk length for the vectorized executors: long enough to amortize
-/// per-term loop overhead, short enough to stay in L1.
-const CHUNK: usize = 128;
-
-/// Vectorized row executor for linear kernels on unit-stride rows: one
-/// axpy-style pass over the row per term, which the compiler turns into
-/// SIMD loops (the per-point interpreted path cannot be vectorized).
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn run_row_linear_unit(
-    lf: &LinearForm,
-    view: &GridPtrs<'_>,
-    cur: &[isize; MAX_CLASSES],
-    class_grid: &[usize; MAX_CLASSES],
-    count: i64,
-    out_grid: usize,
-    out_start: isize,
-) {
-    let mut done = 0usize;
-    // count is a non-negative region extent; the cast is exact.
-    #[allow(clippy::cast_possible_truncation)]
-    let total = count as usize;
-    let mut acc = [0.0f64; CHUNK];
-    while done < total {
-        let len = CHUNK.min(total - done);
-        acc[..len].fill(lf.bias);
-        for &(c, d, k) in &lf.terms {
-            let src = view.row(
-                class_grid[c as usize],
-                cur[c as usize] + d + done as isize,
-                len,
-            );
-            for (a, &s) in acc[..len].iter_mut().zip(src) {
-                *a += k * s;
-            }
-        }
-        let dst = view.row_mut(out_grid, out_start + done as isize, len);
-        dst.copy_from_slice(&acc[..len]);
-        done += len;
-    }
-}
-
-/// Vectorized row executor for sum-of-products kernels on unit-stride
-/// rows: per term, an elementwise product pass then an accumulate pass.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn run_row_poly_unit(
-    pf: &snowflake_ir::bytecode::PolyForm,
-    view: &GridPtrs<'_>,
-    cur: &[isize; MAX_CLASSES],
-    class_grid: &[usize; MAX_CLASSES],
-    count: i64,
-    out_grid: usize,
-    out_start: isize,
-) {
-    let mut done = 0usize;
-    // count is a non-negative region extent; the cast is exact.
-    #[allow(clippy::cast_possible_truncation)]
-    let total = count as usize;
-    let mut acc = [0.0f64; CHUNK];
-    let mut prod = [0.0f64; CHUNK];
-    while done < total {
-        let len = CHUNK.min(total - done);
-        acc[..len].fill(pf.bias);
-        let mut r = 0usize;
-        for (t, &coeff) in pf.flat_coeffs.iter().enumerate() {
-            let deg = pf.flat_lens[t] as usize;
-            prod[..len].fill(coeff);
-            for &(c, d) in &pf.flat_reads[r..r + deg] {
-                let src = view.row(
-                    class_grid[c as usize],
-                    cur[c as usize] + d + done as isize,
-                    len,
-                );
-                for (p, &s) in prod[..len].iter_mut().zip(src) {
-                    *p *= s;
-                }
-            }
-            r += deg;
-            for (a, &p) in acc[..len].iter_mut().zip(&prod[..len]) {
-                *a += p;
-            }
-        }
-        let dst = view.row_mut(out_grid, out_start + done as isize, len);
-        dst.copy_from_slice(&acc[..len]);
-        done += len;
     }
 }
 
 /// Hot loop for linear-form kernels: pure FMA chain per point.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 unsafe fn run_row_linear(
     lf: &LinearForm,
     view: &GridPtrs<'_>,
-    cur: &mut [isize; MAX_CLASSES],
-    class_grid: &[usize; MAX_CLASSES],
-    inner_step: &[isize; MAX_CLASSES],
-    ncls: usize,
-    count: i64,
-    out: RowOut<'_>,
+    row: &RowPlan<'_>,
+    mut cur: [isize; MAX_CLASSES],
+    mut out_idx: isize,
 ) {
-    let RowOut { grid, idx, step } = out;
-    for _ in 0..count {
+    for _ in 0..row.count {
         let mut acc = lf.bias;
         for &(c, d, k) in &lf.terms {
-            acc += k * view.read(class_grid[c as usize], cur[c as usize] + d);
+            acc += k * view.read(row.class_grid[c as usize], cur[c as usize] + d);
         }
-        view.write(grid, *idx, acc);
-        for s in 0..ncls {
-            cur[s] += inner_step[s];
-        }
-        *idx += step;
+        view.write(row.kernel.out_grid, out_idx, acc);
+        row.step(&mut cur, &mut out_idx);
     }
 }
 
 /// Hot loop for sum-of-products kernels (variable-coefficient operators):
 /// a flat multiply-accumulate chain per point.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 unsafe fn run_row_poly(
     pf: &snowflake_ir::bytecode::PolyForm,
     view: &GridPtrs<'_>,
-    cur: &mut [isize; MAX_CLASSES],
-    class_grid: &[usize; MAX_CLASSES],
-    inner_step: &[isize; MAX_CLASSES],
-    ncls: usize,
-    count: i64,
-    out: RowOut<'_>,
+    row: &RowPlan<'_>,
+    mut cur: [isize; MAX_CLASSES],
+    mut out_idx: isize,
 ) {
-    let RowOut { grid, idx, step } = out;
-    for _ in 0..count {
+    for _ in 0..row.count {
         let mut acc = pf.bias;
         let mut r = 0usize;
         for (t, &coeff) in pf.flat_coeffs.iter().enumerate() {
             let mut p = coeff;
             let len = pf.flat_lens[t] as usize;
             for &(c, d) in &pf.flat_reads[r..r + len] {
-                p *= view.read(class_grid[c as usize], cur[c as usize] + d);
+                p *= view.read(row.class_grid[c as usize], cur[c as usize] + d);
             }
             r += len;
             acc += p;
         }
-        view.write(grid, *idx, acc);
-        for s in 0..ncls {
-            cur[s] += inner_step[s];
-        }
-        *idx += step;
+        view.write(row.kernel.out_grid, out_idx, acc);
+        row.step(&mut cur, &mut out_idx);
     }
 }
 
@@ -576,7 +327,19 @@ mod tests {
     }
 
     fn run_one(group: &StencilGroup, gs: &mut GridSet) {
-        let lowered = lower_group(group, &gs.shapes(), &LowerOptions::default()).unwrap();
+        run_lowered(group, gs, false);
+    }
+
+    /// As `run_one`, optionally attaching specialization records first.
+    fn run_lowered(group: &StencilGroup, gs: &mut GridSet, specialize: bool) {
+        let mut lowered = lower_group(group, &gs.shapes(), &LowerOptions::default()).unwrap();
+        if specialize {
+            crate::specialize::specialize_lowered(&mut lowered);
+            assert!(
+                lowered.kernels.iter().all(|k| k.spec.is_some()),
+                "the chunked executors must be engaged"
+            );
+        }
         let (ptrs, lens) = crate::check_and_ptrs(&lowered, gs).unwrap();
         let view = GridPtrs::new(&ptrs, &lens);
         for k in &lowered.kernels {
@@ -721,6 +484,7 @@ mod tests {
         // Rows shorter than, equal to, and longer than the CHUNK length
         // must all agree with the reference (off-by-ones at chunk seams
         // are the classic failure).
+        use crate::specialize::CHUNK;
         for n in [3usize, CHUNK, CHUNK + 1, 2 * CHUNK + 7] {
             let shape = [3usize, n + 2];
             let mut gs = GridSet::new();
@@ -731,7 +495,7 @@ mod tests {
             // Linear kernel (unit path) over a full row.
             let e = Expr::read_at("x", &[0, 1]) * 2.0 + Expr::read_at("x", &[0, -1]);
             let s = Stencil::new(e.clone(), "y", RectDomain::interior(2));
-            run_one(&StencilGroup::from(s), &mut gs);
+            run_lowered(&StencilGroup::from(s), &mut gs, true);
             let xg = gs.get("x").unwrap().clone();
             let y = gs.get("y").unwrap();
             for j in 1..=n {
@@ -743,6 +507,7 @@ mod tests {
 
     #[test]
     fn poly_rows_handle_chunk_boundaries() {
+        use crate::specialize::CHUNK;
         for n in [CHUNK - 1, CHUNK, CHUNK + 3] {
             let shape = [3usize, n + 2];
             let mut gs = GridSet::new();
@@ -755,7 +520,7 @@ mod tests {
             gs.insert("y", Grid::new(&shape));
             let e = Expr::read_at("c", &[0, 0]) * Expr::read_at("x", &[0, 1]);
             let s = Stencil::new(e, "y", RectDomain::interior(2));
-            run_one(&StencilGroup::from(s), &mut gs);
+            run_lowered(&StencilGroup::from(s), &mut gs, true);
             let (xg, cg) = (gs.get("x").unwrap().clone(), gs.get("c").unwrap().clone());
             let y = gs.get("y").unwrap();
             for j in 1..=n {

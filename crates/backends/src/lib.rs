@@ -4,14 +4,12 @@
 //!
 //! The paper's JIT hands a narrow, analyzed program description (see
 //! `snowflake-ir`) to small, interchangeable, platform-specific code
-//! generators. This crate provides five:
+//! generators. This crate provides:
 //!
 //! | Backend | Paper counterpart | Notes |
 //! |---|---|---|
 //! | [`interp::InterpreterBackend`] | the Python reference backend | walks the expression tree per point; slow, canonical semantics |
-//! | [`seq::SequentialBackend`] | sequential C | bytecode kernels, single thread |
-//! | [`omp::OmpBackend`] | C + OpenMP | rayon task farm; greedy barrier phases, arbitrary-dimension tiling, multicolor reordering |
-//! | [`oclsim::OclSimBackend`] | C + OpenCL (execution model) | tall-skinny 2-D blocking rolled through the remaining dimension, work-groups executed on CPU threads |
+//! | [`tiled::TiledBackend`] | sequential C, C + OpenMP, C + OpenCL (execution model) | one executor with three [`tiled::Decomposition`] presets: `seq` ([`SequentialBackend`], whole regions on one thread), `omp` ([`OmpBackend`], rayon task farm with arbitrary-dimension tiling, multicolor reordering and fusion), `oclsim` ([`OclSimBackend`], tall-skinny 2-D work-groups rolled through the remaining dimension on CPU threads); greedy barrier phases and specialized kernels in all three |
 //! | [`cjit::CJitBackend`] | C + OpenMP via a real C compiler | emits C99 (see [`codegen_c`]), invokes the system `cc`, `dlopen`s the result — the paper's actual JIT pipeline |
 //! | [`checked::CheckedBackend`] | — (sanitizer) | instrumented interpreter over the lowered form: range-checks every access, tracks per-phase shadow write-sets, bitwise-identical to `seq` |
 //!
@@ -39,12 +37,10 @@ pub mod exec;
 pub mod interp;
 pub mod lint;
 pub mod metrics;
-pub mod oclsim;
-pub mod omp;
 pub mod plan;
 pub mod registry;
-pub mod seq;
 pub mod specialize;
+pub mod tiled;
 pub mod tune;
 pub mod verify;
 pub mod view;
@@ -62,11 +58,9 @@ pub use metrics::{
     CacheStats, CommStats, KernelCounters, LintStats, PhaseSample, RunReport, SpecStats, TuneStats,
     VerifyStats,
 };
-pub use oclsim::OclSimBackend;
-pub use omp::OmpBackend;
 pub use plan::SolverPlan;
 pub use registry::{available_backends, backend_from_name, BackendOptions};
-pub use seq::SequentialBackend;
+pub use tiled::{OclSimBackend, OmpBackend, SequentialBackend, TiledBackend};
 pub use tune::TileTuner;
 pub use verify::{
     diagnostics_to_error, verify_op, verify_plan, witness_count, OpCertificate, PlanCertificate,

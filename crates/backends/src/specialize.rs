@@ -9,20 +9,21 @@
 //! structure-of-arrays record to [`LoweredKernel::spec`]. The executors in
 //! this module then run matched rows through tight chunked inner loops
 //! over contiguous slices (unit stride) or precomputed strided index
-//! chains, which LLVM auto-vectorizes; kernels that do not match — or are
-//! not parallel-safe, whose canonical lexicographic order must be
-//! preserved point by point — keep `spec = None` and fall back to the
-//! generic interpreter paths in [`crate::exec`].
+//! chains, which LLVM auto-vectorizes. Every compiled backend runs this
+//! pass; it is the only chunked evaluator. Kernels that do not match — or
+//! are not parallel-safe, whose canonical lexicographic order must be
+//! preserved point by point — keep `spec = None` and run the per-point
+//! linear/poly forms or the bytecode program in [`crate::exec`].
 //!
 //! **Bitwise contract**: every executor here performs, per output
 //! element, the identical floating-point operation sequence as the
-//! generic linear/poly row forms (`acc = bias; acc += coeff·read` in term
-//! order; `prod = coeff; prod *= read…; acc += prod` for poly). Chunking
-//! and fusion only reorder work *across* independent elements of
+//! per-point linear/poly row forms (`acc = bias; acc += coeff·read` in
+//! term order; `prod = coeff; prod *= read…; acc += prod` for poly).
+//! Chunking and fusion only reorder work *across* independent elements of
 //! parallel-safe kernels — never within one element — so specialized
-//! results are bitwise equal to the unspecialized baseline. The
-//! equivalence suite in `tests/specialize_equivalence.rs` asserts this on
-//! the full HPGMG V-cycle.
+//! results are bitwise equal to the unspecialized `checked` reference
+//! backend. The equivalence suite in `tests/specialize_equivalence.rs`
+//! asserts this on the full HPGMG V-cycle.
 
 #![allow(clippy::needless_range_loop)] // chunk indices address parallel fixed arrays
 
@@ -33,10 +34,9 @@ use crate::exec::MAX_CLASSES;
 use crate::metrics::SpecStats;
 use crate::view::GridPtrs;
 
-/// Row chunk length for the specialized executors (matches the generic
-/// vectorized executors: long enough to amortize loop overhead, short
-/// enough that acc/prod scratch stays in L1).
-const CHUNK: usize = 128;
+/// Row chunk length for the specialized executors: long enough to
+/// amortize loop overhead, short enough that acc/prod scratch stays in L1.
+pub(crate) const CHUNK: usize = 128;
 
 /// Largest term count monomorphized into a fused fixed-arity inner loop;
 /// wider linear kernels use the dynamic-arity pass executor (bitwise

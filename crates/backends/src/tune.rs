@@ -3,7 +3,7 @@
 //!
 //! The paper leaves tile sizes "tunable at compile time"; the OpenMP-like
 //! backend already carries a PATUS-style empirical tuner
-//! ([`crate::omp::OmpBackend::autotune_tile`]) that times candidate tile
+//! ([`crate::TiledBackend::autotune_tile`]) that times candidate tile
 //! shapes and keeps the winner. This module makes that decision *sticky*:
 //! the winning tile for each `(kernel-group signature, grid shapes,
 //! thread count)` triple is persisted as a tiny JSON artifact in an

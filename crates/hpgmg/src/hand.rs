@@ -705,12 +705,6 @@ impl HandSolver {
         norms
     }
 
-    /// Former two-argument form of [`HandSolver::solve`].
-    #[deprecated(note = "use solve(SolveOptions::cycles(n).with_fmg(fmg))")]
-    pub fn solve_opts(&mut self, cycles: usize, fmg: bool) -> Vec<f64> {
-        self.solve(crate::SolveOptions::cycles(cycles).with_fmg(fmg))
-    }
-
     /// Max-norm error against the exact discrete solution.
     pub fn error_norm(&self) -> f64 {
         self.levels[0].interior_diff_max(&self.levels[0].x, &self.x_true)

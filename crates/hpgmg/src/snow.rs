@@ -404,12 +404,6 @@ impl SnowSolver {
         Ok(norms)
     }
 
-    /// Former two-argument form of [`SnowSolver::solve`].
-    #[deprecated(note = "use solve(SolveOptions::cycles(n).with_fmg(fmg))")]
-    pub fn solve_opts(&mut self, cycles: usize, fmg: bool) -> Result<Vec<f64>> {
-        self.solve(SolveOptions::cycles(cycles).with_fmg(fmg))
-    }
-
     /// Max-norm error against the exact discrete solution.
     pub fn error_norm(&self) -> f64 {
         let n = self.sizes[0];

@@ -1,6 +1,12 @@
 //! A hermetic, dependency-free stand-in for the subset of [libloading]
 //! the cjit backend uses: open a shared object, resolve one symbol,
-//! close on drop.
+//! release the handle on drop.
+//!
+//! Unlike upstream, objects are opened `RTLD_NODELETE`: dropping a
+//! [`Library`] never unmaps it. A JIT artifact built with `-fopenmp`
+//! pulls in libgomp, whose worker threads keep spinning in its code after
+//! a parallel region; unloading the last such artifact would unmap that
+//! code under them and crash the process.
 //!
 //! Implemented directly on the platform's `dlopen`/`dlsym`/`dlclose`
 //! (declared here as `extern "C"` since no `libc` crate is available in
@@ -23,6 +29,11 @@ extern "C" {
 }
 
 const RTLD_NOW: c_int = 2;
+/// Keep the object mapped after `dlclose` (`<dlfcn.h>`).
+#[cfg(target_vendor = "apple")]
+const RTLD_NODELETE: c_int = 0x80;
+#[cfg(not(target_vendor = "apple"))]
+const RTLD_NODELETE: c_int = 0x1000;
 
 /// Error loading a library or resolving a symbol.
 #[derive(Debug)]
@@ -52,7 +63,8 @@ fn last_dl_error(context: &str) -> Error {
     Error { message }
 }
 
-/// An open shared library; the handle is released on drop.
+/// An open shared library; the handle is released on drop, the mapping
+/// stays for the life of the process.
 #[derive(Debug)]
 pub struct Library {
     handle: *mut c_void,
@@ -74,7 +86,7 @@ impl Library {
         let cpath = CString::new(raw).map_err(|_| Error {
             message: "library path contains an interior NUL byte".to_string(),
         })?;
-        let handle = dlopen(cpath.as_ptr(), RTLD_NOW);
+        let handle = dlopen(cpath.as_ptr(), RTLD_NOW | RTLD_NODELETE);
         if handle.is_null() {
             Err(last_dl_error("dlopen failed"))
         } else {
@@ -113,7 +125,8 @@ impl Library {
 
 impl Drop for Library {
     fn drop(&mut self) {
-        // SAFETY: handle came from a successful dlopen and is closed once.
+        // SAFETY: handle came from a successful dlopen and is closed once;
+        // RTLD_NODELETE keeps the object mapped regardless.
         unsafe {
             dlclose(self.handle);
         }

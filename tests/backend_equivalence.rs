@@ -165,12 +165,17 @@ fn run_with_report_is_bitwise_identical_to_run() {
 }
 
 /// The phase table of an instrumented run lines up with the analysis
-/// schedule: one [`PhaseSample`] slot per greedy barrier phase.
+/// schedule: one [`PhaseSample`] slot per greedy barrier phase. Each
+/// preset's decomposition is pinned too: its kernel counters `(tiles,
+/// parallel_tasks, sequential_tasks, fused, points)` on the Figure-4 group
+/// and on one 16³ VC V-cycle. (The omp presets carry explicit tiles
+/// because the default tile depends on the host's thread count.)
 ///
 /// [`PhaseSample`]: snowflake::backends::PhaseSample
 #[test]
 fn report_phase_count_matches_analysis_schedule() {
     use snowflake::analysis::{greedy_phases, ResolvedStencil};
+    use snowflake::hpgmg::{Problem, SnowSolver};
 
     let group = figure4_gsrb_group();
     let shapes = figure4_gsrb_grids().shapes();
@@ -182,11 +187,52 @@ fn report_phase_count_matches_analysis_schedule() {
     let schedule_phases = greedy_phases(&resolved).phases.len();
     assert!(schedule_phases >= 2, "GSRB must need multiple barriers");
 
-    for backend in [
-        Box::new(SequentialBackend::new()) as Box<dyn Backend>,
-        Box::new(OmpBackend::new()),
-        Box::new(OclSimBackend::new().with_workgroup(2, 4)),
-    ] {
+    type Counters = (u64, u64, u64, u64, u64);
+    let counters = |r: &RunReport| {
+        let k = &r.kernels;
+        (
+            k.tiles,
+            k.parallel_tasks,
+            k.sequential_tasks,
+            k.fused,
+            k.points,
+        )
+    };
+    let omp = || OmpBackend::new().with_tile(vec![3, 5]);
+    let presets: Vec<(Box<dyn Backend>, Counters, Counters)> = vec![
+        (
+            Box::new(SequentialBackend::new()),
+            (8, 0, 8, 0, 285),
+            (674, 0, 674, 0, 52864),
+        ),
+        (
+            Box::new(omp()),
+            (28, 28, 0, 0, 285),
+            (1460, 1460, 0, 56, 52864),
+        ),
+        (
+            Box::new(omp().with_fusion(false)),
+            (28, 28, 0, 0, 285),
+            (1516, 1516, 0, 0, 52864),
+        ),
+        (
+            Box::new(omp().with_multicolor(false)),
+            (40, 40, 0, 0, 285),
+            (1796, 1796, 0, 56, 52864),
+        ),
+        (
+            Box::new(OclSimBackend::new()),
+            (18, 18, 0, 0, 285),
+            (866, 866, 0, 0, 52864),
+        ),
+        (
+            Box::new(OclSimBackend::new().with_workgroup(2, 4)),
+            (56, 56, 0, 0, 285),
+            (2187, 2187, 0, 0, 52864),
+        ),
+    ];
+    for (backend, figure4, vcycle) in presets {
+        let name = backend.name();
         let exe = backend.compile(&group, &shapes).unwrap();
         let mut grids = figure4_gsrb_grids();
         let mut report = RunReport::new();
@@ -194,13 +240,20 @@ fn report_phase_count_matches_analysis_schedule() {
         assert_eq!(
             report.phases.len(),
             schedule_phases,
-            "backend {} phase table diverges from the analysis schedule",
-            backend.name()
+            "backend {name} phase table diverges from the analysis schedule"
         );
+        assert_eq!(counters(&report), figure4, "{name} on the Figure-4 group");
         // Repeated runs accumulate into the same slots.
         exe.run_with_report(&mut grids, &mut report).unwrap();
         assert_eq!(report.phases.len(), schedule_phases);
         assert_eq!(report.runs, 2);
+
+        let mut solver = SnowSolver::new(Problem::poisson_vc(16), backend).unwrap();
+        solver.enable_metrics();
+        solver.vcycle(0).unwrap();
+        let report = solver.take_metrics().unwrap();
+        assert_eq!(report.phases.len(), 4, "{name} V-cycle phases");
+        assert_eq!(counters(&report), vcycle, "{name} on a 16³ V-cycle");
     }
 }
 
@@ -266,6 +319,31 @@ fn equivalence_on_sequential_in_place_propagation() {
             gs
         },
         1e-13,
+    );
+}
+
+#[test]
+fn equivalence_on_sequential_propagation_over_a_union() {
+    // `x[i] = x[i-1]` over `[1, n-64) ∪ [n-64, n)`: the kernel is not
+    // parallel-safe, so both rectangles must run as one serial task in
+    // union order. Run concurrently, the short tail would read cells the
+    // long head has not written yet.
+    let n = 1usize << 16;
+    let s = Stencil::new(
+        Expr::read_at("x", &[-1]),
+        "x",
+        RectDomain::new(&[1], &[-64], &[1]) + RectDomain::new(&[-64], &[0], &[1]),
+    );
+    run_all(
+        &StencilGroup::from(s),
+        || {
+            let mut x = Grid::new(&[n]);
+            x.as_mut_slice()[0] = 7.0;
+            let mut gs = GridSet::new();
+            gs.insert("x", x);
+            gs
+        },
+        0.0,
     );
 }
 
