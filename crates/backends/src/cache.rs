@@ -3,8 +3,9 @@
 //!
 //! A multigrid solver compiles the same smoother for every level shape and
 //! re-runs it hundreds of times; the cache keys on the structural identity
-//! of (group, shapes) so each distinct (program, size) pair is compiled
-//! once per backend.
+//! of (group, shapes) ([`crate::store::program_key`], the full string, so
+//! a hash collision can never serve the wrong executable) and each
+//! distinct (program, size) pair is compiled once per backend.
 //!
 //! The map and its hit/miss/insert counters live behind **one** mutex
 //! ([`CacheState`]), and `get_or_compile` holds that lock across the whole
@@ -71,7 +72,7 @@ impl CompileCache {
         group: &StencilGroup,
         shapes: &ShapeMap,
     ) -> Result<Arc<dyn Executable>> {
-        let key = cache_key(group, shapes);
+        let key = crate::store::program_key(group, shapes);
         let mut state = self.state.lock().unwrap();
         if let Some(exe) = state.map.get(&key) {
             let exe = exe.clone();
@@ -139,15 +140,6 @@ impl CompileCache {
     pub fn lint_stats(&self) -> crate::metrics::LintStats {
         self.backend.lint_stats()
     }
-}
-
-/// Structural cache key: the debug rendering of the group plus the sorted
-/// shape bindings. Expressions, domains and maps all derive `Debug`
-/// deterministically, so equal programs produce equal keys.
-fn cache_key(group: &StencilGroup, shapes: &ShapeMap) -> String {
-    let mut entries: Vec<(&String, &Vec<usize>)> = shapes.iter().collect();
-    entries.sort();
-    format!("{group:?}|{entries:?}")
 }
 
 #[cfg(test)]

@@ -11,21 +11,18 @@
 //! `CoreError::Backend` otherwise, so callers (benchmarks, examples) can
 //! fall back to the pure-Rust backends.
 //!
-//! ## Persistent artifact cache
+//! ## Persistent artifacts
 //!
-//! Every successful compile is persisted as a shared object keyed by the
-//! FNV-1a content hash of (compiler, flags, OpenMP availability, emitted
-//! C99). A later compile of the same key — in this process or any future
-//! one — `dlopen`s the cached `.so` and skips `cc` entirely, so repeated
-//! figure runs pay compilation once per machine, not once per process.
-//! Artifacts live in a `target/`-local directory next to the running
-//! binary (override with `$SNOWFLAKE_CACHE_DIR` or
-//! [`CJitBackend::with_cache_dir`]); inserts are atomic (write to a
-//! unique staging name, then rename) and **any** IO error simply falls
-//! back to the in-process compile path. Hit/miss counters surface as
+//! Every successful compile is persisted in the [`ArtifactStore`] as
+//! `cjit_<hash>_<len>.so`, the hash taken over (compiler, flags, OpenMP
+//! availability, emitted C99) — not over the program key, so any codegen
+//! change names a new artifact instead of serving a stale one. A later
+//! compile of the same source — in this process or any future one —
+//! `dlopen`s the stored `.so` and skips `cc` entirely; one that will not
+//! load is evicted and rebuilt. Hit/miss counters surface as
 //! `disk_hits`/`disk_misses` in [`crate::metrics::CacheStats`].
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -36,6 +33,7 @@ use snowflake_ir::{lower_group, LowerOptions, Lowered};
 
 use crate::codegen_c::emit_c;
 use crate::metrics::RunReport;
+use crate::store::{self, ArtifactStore};
 use crate::{check_and_ptrs, Backend, Executable};
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -49,12 +47,8 @@ pub struct CJitBackend {
     pub cc: String,
     /// Extra optimization flags.
     pub opt_flags: Vec<String>,
-    /// Persistent artifact cache directory; `None` resolves to
-    /// `$SNOWFLAKE_CACHE_DIR`, else a `snowflake-cjit-cache/` directory
-    /// next to the running binary (i.e. inside `target/`).
-    pub cache_dir: Option<PathBuf>,
-    /// Use the persistent artifact cache (on by default).
-    pub disk_cache: bool,
+    /// Where compiled shared objects persist across processes.
+    pub store: ArtifactStore,
     /// Compiles served from the artifact cache (shared across clones).
     disk_hits: Arc<AtomicU64>,
     /// Compiles that invoked the C compiler (shared across clones).
@@ -74,8 +68,7 @@ impl Default for CJitBackend {
                 "-march=native".to_string(),
                 "-ffp-contract=off".to_string(),
             ],
-            cache_dir: None,
-            disk_cache: true,
+            store: ArtifactStore::default(),
             disk_hits: Arc::new(AtomicU64::new(0)),
             disk_misses: Arc::new(AtomicU64::new(0)),
         }
@@ -100,15 +93,9 @@ impl CJitBackend {
         self
     }
 
-    /// Pin the persistent artifact cache to `dir` (builder style).
+    /// Root the artifact store at `dir` (builder style).
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Enable or disable the persistent artifact cache (builder style).
-    pub fn with_disk_cache(mut self, on: bool) -> Self {
-        self.disk_cache = on;
+        self.store = ArtifactStore::new(Some(dir.into()));
         self
     }
 
@@ -160,77 +147,35 @@ impl CJitBackend {
         })
     }
 
-    /// Cache directory after applying the override chain (explicit field →
-    /// `$SNOWFLAKE_CACHE_DIR` → next to the running binary → temp dir).
-    pub fn resolved_cache_dir(&self) -> PathBuf {
-        if let Some(dir) = &self.cache_dir {
-            return dir.clone();
-        }
-        if let Ok(dir) = std::env::var("SNOWFLAKE_CACHE_DIR") {
-            return PathBuf::from(dir);
-        }
-        std::env::current_exe()
-            .ok()
-            .and_then(|exe| exe.parent().map(|d| d.join("snowflake-cjit-cache")))
-            .unwrap_or_else(|| std::env::temp_dir().join("snowflake-cjit-cache"))
-    }
-
-    /// Content hash of everything that determines the built artifact: the
-    /// compiler, its flags (including `-fopenmp` availability) and the
-    /// emitted source. Changing any of them invalidates the cached `.so`.
-    fn artifact_key(&self, source: &str) -> u64 {
-        let mut h = fnv1a(FNV_OFFSET, self.cc.as_bytes());
-        for flag in &self.opt_flags {
-            h = fnv1a(h, flag.as_bytes());
-            h = fnv1a(h, b"\0");
-        }
-        if self.openmp_available() {
-            h = fnv1a(h, b"-fopenmp");
-        }
-        fnv1a(h, source.as_bytes())
-    }
-
-    /// Copy `built` into the cache as `cached` via a unique staging name +
-    /// rename, so concurrent inserters can never expose a torn file.
-    fn persist(built: &Path, cached: &Path) -> std::io::Result<()> {
-        let dir = cached.parent().expect("cache path has a parent");
-        std::fs::create_dir_all(dir)?;
-        let staging = dir.join(format!(
-            ".staging_{}_{}",
-            std::process::id(),
-            COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::copy(built, &staging)?;
-        if let Err(e) = std::fs::rename(&staging, cached) {
-            let _ = std::fs::remove_file(&staging);
-            return Err(e);
-        }
-        Ok(())
+    /// Store name of the artifact built from `source`: a content hash of
+    /// everything that determines its bytes — the compiler, its flags
+    /// (including `-fopenmp` availability) and the emitted source.
+    fn artifact_name(&self, source: &str) -> String {
+        let openmp = self.openmp_available().then_some("-fopenmp");
+        let parts = std::iter::once(self.cc.as_str())
+            .chain(self.opt_flags.iter().map(String::as_str))
+            .chain(openmp)
+            .chain([source]);
+        let hash = store::hash(parts.map(str::as_bytes));
+        format!("cjit_{hash:016x}_{}.so", source.len())
     }
 
     fn build(&self, source: &str) -> Result<libloading::Library> {
-        let cached: Option<PathBuf> = self.disk_cache.then(|| {
-            self.resolved_cache_dir().join(format!(
-                "cjit_{:016x}_{}.so",
-                self.artifact_key(source),
-                source.len()
-            ))
-        });
-        if let Some(path) = &cached {
-            if path.exists() {
-                // SAFETY: the artifact was produced by a previous run of
-                // this same pipeline from identical source and flags (the
-                // content hash is the file name); its only export is the
-                // kernel entry point.
-                if let Ok(lib) = unsafe { libloading::Library::new(path) } {
-                    self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(lib);
-                }
-                // Unloadable (torn disk, wrong arch, …): evict and rebuild.
-                let _ = std::fs::remove_file(path);
+        let name = self.artifact_name(source);
+        let cached = self.store.path(&name);
+        if cached.exists() {
+            // SAFETY: the artifact was produced by a previous run of this
+            // same pipeline from identical source and flags (the content
+            // hash is the file name); its only export is the kernel entry
+            // point.
+            if let Ok(lib) = unsafe { libloading::Library::new(&cached) } {
+                self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(lib);
             }
-            self.disk_misses.fetch_add(1, Ordering::Relaxed);
+            // Unloadable (torn disk, wrong arch, …): evict and rebuild.
+            let _ = std::fs::remove_file(&cached);
         }
+        self.disk_misses.fetch_add(1, Ordering::Relaxed);
 
         let dir = std::env::temp_dir();
         let id = COUNTER.fetch_add(1, Ordering::Relaxed);
@@ -258,9 +203,7 @@ impl CJitBackend {
             )));
         }
         // Persist for future processes; IO failure only costs the reuse.
-        if let Some(path) = &cached {
-            let _ = Self::persist(&so_path, path);
-        }
+        let _ = std::fs::read(&so_path).and_then(|so| self.store.put(&name, &so));
         // SAFETY: the library was just produced by the C compiler from our
         // generated source; its only export is the kernel entry point.
         let lib = unsafe { libloading::Library::new(&so_path) }
@@ -270,17 +213,6 @@ impl CJitBackend {
         let _ = std::fs::remove_file(&so_path);
         Ok(lib)
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// One FNV-1a 64-bit round over `bytes`, continuing from `h`.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn availability() -> &'static OnceLock<bool> {

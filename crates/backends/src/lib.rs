@@ -24,7 +24,10 @@
 //! compiled up front into a flat table and dispatched by index, with zero
 //! per-call hashing or locking. [`registry`] constructs any backend by
 //! name from one [`BackendOptions`] bag, so drivers select implementations
-//! with a string instead of duplicated match arms.
+//! with a string instead of duplicated match arms. [`store`] is the one
+//! on-disk home of what outlives a process — cjit shared objects and
+//! tile-tuner decisions — with one directory chain, one content hash, one
+//! atomic writer and the one structural program key.
 
 pub mod cache;
 pub mod checked;
@@ -40,6 +43,7 @@ pub mod metrics;
 pub mod plan;
 pub mod registry;
 pub mod specialize;
+pub mod store;
 pub mod tiled;
 pub mod tune;
 pub mod verify;

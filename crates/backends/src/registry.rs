@@ -3,7 +3,8 @@
 //!
 //! [`backend_from_name`] builds any of the six backends from a string and
 //! a single [`BackendOptions`] bag of shared knobs (tiling, fusion,
-//! multicolor reordering, work-group shape, rank count, C toolchain).
+//! multicolor reordering, work-group shape, rank count, C toolchain,
+//! artifact store directory).
 //! Unknown names are a structured [`CoreError::UnknownBackend`] listing
 //! [`available_backends`], never a panic — a figure binary can print the
 //! error verbatim and exit cleanly.
@@ -14,6 +15,7 @@ use snowflake_core::{CoreError, Result};
 use snowflake_ir::LowerOptions;
 
 use crate::lint::LintingBackend;
+use crate::store::ArtifactStore;
 use crate::tiled::{Decomposition, OmpOptions, TiledBackend, WorkGroupShape};
 use crate::tune::TileTuner;
 use crate::verify::VerifyingBackend;
@@ -48,10 +50,9 @@ pub struct BackendOptions {
     pub cc: Option<String>,
     /// Optimization flag override (cjit).
     pub opt_flags: Option<Vec<String>>,
-    /// Persistent artifact cache directory override (cjit).
+    /// Artifact store directory for cjit shared objects and tuner
+    /// decisions (`None` = the default chain; see `crate::store`).
     pub cache_dir: Option<PathBuf>,
-    /// Use the persistent artifact cache (cjit; on by default).
-    pub disk_cache: bool,
     /// Statically verify every compiled group before execution: the
     /// constructed backend is wrapped in a
     /// [`crate::verify::VerifyingBackend`], so `compile` fails with the
@@ -66,9 +67,6 @@ pub struct BackendOptions {
     /// Consult the persisted tile auto-tuner at compile time (omp; only
     /// effective when no explicit tile is set).
     pub tune: bool,
-    /// Tuner artifact directory override (`None` = `$SNOWFLAKE_TUNE_DIR`
-    /// / default chain; see `crate::tune`).
-    pub tune_dir: Option<PathBuf>,
 }
 
 impl Default for BackendOptions {
@@ -83,11 +81,9 @@ impl Default for BackendOptions {
             cc: None,
             opt_flags: None,
             cache_dir: None,
-            disk_cache: true,
             verify: false,
             lint: false,
             tune: false,
-            tune_dir: None,
         }
     }
 }
@@ -123,7 +119,8 @@ impl BackendOptions {
         self
     }
 
-    /// Pin the cjit artifact cache directory (builder style).
+    /// Root the artifact store of cjit and the tile tuner at `dir`
+    /// (builder style).
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
         self
@@ -146,12 +143,6 @@ impl BackendOptions {
         self.tune = on;
         self
     }
-
-    /// Pin the tuner artifact directory (builder style).
-    pub fn with_tune_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.tune_dir = Some(dir.into());
-        self
-    }
 }
 
 /// Construct the backend registered under `name`, configured from `opts`.
@@ -172,11 +163,12 @@ pub fn backend_from_name(name: &str, opts: &BackendOptions) -> Result<Box<dyn Ba
 }
 
 fn build_backend(name: &str, opts: &BackendOptions) -> Result<Box<dyn Backend>> {
+    let store = ArtifactStore::new(opts.cache_dir.clone());
     let tiled = |decomposition| -> Box<dyn Backend> {
         Box::new(TiledBackend {
             options: opts.lower.clone(),
             decomposition,
-            tuner: TileTuner::new(opts.tune_dir.clone()),
+            tuner: TileTuner::new(store.clone()),
         })
     };
     match name {
@@ -190,16 +182,14 @@ fn build_backend(name: &str, opts: &BackendOptions) -> Result<Box<dyn Backend>> 
         }))),
         "oclsim" => Ok(tiled(Decomposition::WorkGroups(opts.workgroup))),
         "cjit" => {
-            let mut backend = CJitBackend::new().with_disk_cache(opts.disk_cache);
+            let mut backend = CJitBackend::new();
             backend.options = opts.lower.clone();
+            backend.store = store;
             if let Some(cc) = &opts.cc {
                 backend = backend.with_cc(cc.clone());
             }
             if let Some(flags) = &opts.opt_flags {
                 backend = backend.with_opt_flags(flags.clone());
-            }
-            if let Some(dir) = &opts.cache_dir {
-                backend = backend.with_cache_dir(dir.clone());
             }
             Ok(Box::new(backend))
         }
@@ -283,8 +273,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let opts = BackendOptions::default()
             .with_tune(true)
-            .with_tune_dir(dir.clone());
+            .with_cache_dir(dir.clone());
         let omp = backend_from_name("omp", &opts).unwrap();
+        let cjit = backend_from_name("cjit", &opts).unwrap();
         let group = snowflake_core::StencilGroup::from(snowflake_core::Stencil::new(
             snowflake_core::Expr::read_at("x", &[0, 0]) * 2.0,
             "y",
@@ -297,10 +288,30 @@ mod tests {
         let stats = omp.tune_stats();
         assert_eq!(stats.disk_misses, 1, "tuner engaged through registry knobs");
         assert!(stats.candidates_timed >= 2);
+        // One directory setting roots both kinds of artifact.
+        let names = || -> Vec<String> {
+            dir.read_dir()
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect()
+        };
         assert!(
-            dir.read_dir().unwrap().count() >= 1,
-            "artifact persisted in the pinned directory"
+            names()
+                .iter()
+                .any(|n| n.starts_with("tile-") && n.ends_with(".json")),
+            "tuner decision persisted in the pinned directory: {:?}",
+            names()
         );
+        if CJitBackend::available() {
+            cjit.compile(&group, &shapes).unwrap();
+            assert!(
+                names()
+                    .iter()
+                    .any(|n| n.starts_with("cjit_") && n.ends_with(".so")),
+                "cjit artifact persisted in the same directory: {:?}",
+                names()
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

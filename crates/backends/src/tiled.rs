@@ -206,10 +206,10 @@ impl TiledBackend {
         self
     }
 
-    /// Root the tuner's artifact cache at an explicit directory (builder
-    /// style); otherwise `$SNOWFLAKE_TUNE_DIR` and the default chain apply.
-    pub fn with_tune_dir(mut self, dir: std::path::PathBuf) -> Self {
-        self.tuner = TileTuner::new(Some(dir));
+    /// Root the tuner's artifact store at `dir` (builder style); otherwise
+    /// the default chain of [`crate::store`] applies.
+    pub fn with_cache_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
+        self.tuner = TileTuner::new(crate::store::ArtifactStore::new(Some(dir.into())));
         self
     }
 
@@ -1113,7 +1113,9 @@ mod tests {
         let mut a = mk_grids(n);
         let mut b = mk_grids(n);
         let shapes = a.shapes();
-        let cold = OmpBackend::new().with_tune(true).with_tune_dir(dir.clone());
+        let cold = OmpBackend::new()
+            .with_tune(true)
+            .with_cache_dir(dir.clone());
         cold.compile(&group, &shapes).unwrap().run(&mut a).unwrap();
         let cs = cold.tune_stats();
         assert_eq!(
@@ -1124,7 +1126,9 @@ mod tests {
         assert!(cs.candidates_timed >= 2, "several candidates timed");
         // A fresh backend (≅ a new process) over the same directory serves
         // the decision from disk without re-timing.
-        let warm = OmpBackend::new().with_tune(true).with_tune_dir(dir.clone());
+        let warm = OmpBackend::new()
+            .with_tune(true)
+            .with_cache_dir(dir.clone());
         warm.compile(&group, &shapes).unwrap().run(&mut b).unwrap();
         let ws = warm.tune_stats();
         assert_eq!(

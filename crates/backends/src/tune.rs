@@ -6,29 +6,20 @@
 //! ([`crate::TiledBackend::autotune_tile`]) that times candidate tile
 //! shapes and keeps the winner. This module makes that decision *sticky*:
 //! the winning tile for each `(kernel-group signature, grid shapes,
-//! thread count)` triple is persisted as a tiny JSON artifact in an
-//! FNV-keyed directory chain (the same resolution scheme as the C JIT's
-//! artifact cache), so the first plan build of a given configuration pays
-//! for the timing runs once and every later process serves the decision
-//! from disk.
-//!
-//! Directory resolution order:
-//! 1. an explicit directory handed to [`TileTuner::new`];
-//! 2. `$SNOWFLAKE_TUNE_DIR`;
-//! 3. `snowflake-tune-cache/` next to the current executable;
-//! 4. `snowflake-tune-cache/` under the system temp directory.
-//!
-//! Artifacts are written atomically (staging file + rename), so racing
-//! processes at worst both time candidates and one rename wins. Tuner
-//! activity is surfaced through [`TuneStats`] into `RunReport` metrics.
+//! thread count)` triple is persisted as a tiny JSON artifact
+//! `tile-<hash>-t<threads>.json` in the [`ArtifactStore`] (the directory
+//! the C JIT's shared objects share), so the first plan build of a given
+//! configuration pays for the timing runs once and every later process
+//! serves the decision from disk. Tuner activity is surfaced through
+//! [`TuneStats`] into `RunReport` metrics.
 
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use snowflake_core::{ShapeMap, StencilGroup};
 
 use crate::metrics::{json, TuneStats};
+use crate::store::{self, ArtifactStore};
 
 /// Tile entries meaning "untiled" (`i64::MAX >> 1` in memory) are encoded
 /// as `0` on disk: the in-memory sentinel is not exactly representable in
@@ -51,45 +42,37 @@ struct TuneCounters {
 /// of one backend report one tuner's activity).
 #[derive(Clone, Debug)]
 pub struct TileTuner {
-    dir: PathBuf,
+    store: ArtifactStore,
     counters: Arc<TuneCounters>,
 }
 
 impl Default for TileTuner {
     fn default() -> Self {
-        Self::new(None)
+        Self::new(ArtifactStore::default())
     }
 }
 
 impl TileTuner {
-    /// A tuner rooted at `dir`, or at the resolved default directory
-    /// chain (see module docs) when `None`.
-    pub fn new(dir: Option<PathBuf>) -> Self {
+    /// A tuner persisting its decisions in `store`.
+    pub fn new(store: ArtifactStore) -> Self {
         TileTuner {
-            dir: dir.unwrap_or_else(resolve_tune_dir),
+            store,
             counters: Arc::new(TuneCounters::default()),
         }
     }
 
-    /// The directory artifacts live in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Structural tuning key: FNV-1a over the group's debug rendering,
-    /// the sorted shape bindings, and the thread count. Equal programs at
-    /// equal sizes and parallelism share one decision.
+    /// Structural tuning key: the store hash of the program key and the
+    /// thread count. Equal programs at equal sizes and parallelism share
+    /// one decision.
     pub fn key(group: &StencilGroup, shapes: &ShapeMap, threads: usize) -> u64 {
-        let mut entries: Vec<(&String, &Vec<usize>)> = shapes.iter().collect();
-        entries.sort();
-        let mut h = fnv1a(0xcbf2_9ce4_8422_2325, format!("{group:?}").as_bytes());
-        h = fnv1a(h, format!("{entries:?}").as_bytes());
-        fnv1a(h, format!("threads={threads}").as_bytes())
+        let program = store::program_key(group, shapes);
+        store::hash([program.as_bytes(), threads.to_string().as_bytes()])
     }
 
     /// Look up a persisted decision. Counts a disk hit when found.
     pub fn lookup(&self, key: u64, threads: usize) -> Option<Vec<i64>> {
-        let tile = read_artifact(&self.artifact_path(key, threads), threads)?;
+        let body = std::fs::read_to_string(self.store.path(&artifact_name(key, threads))).ok()?;
+        let tile = parse_artifact(&body, threads)?;
         self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
         Some(tile)
     }
@@ -102,10 +85,11 @@ impl TileTuner {
             .candidates_timed
             .fetch_add(candidates as u64, Ordering::Relaxed);
         let body = render_artifact(threads, tile);
-        let path = self.artifact_path(key, threads);
-        // Best effort: a read-only cache dir degrades to tuning every
+        // Best effort: an unwritable store degrades to tuning every
         // process, never to an error.
-        let _ = persist_atomic(&path, &body);
+        let _ = self
+            .store
+            .put(&artifact_name(key, threads), body.as_bytes());
     }
 
     /// Snapshot of the tuner counters.
@@ -116,34 +100,10 @@ impl TileTuner {
             candidates_timed: self.counters.candidates_timed.load(Ordering::Relaxed),
         }
     }
-
-    fn artifact_path(&self, key: u64, threads: usize) -> PathBuf {
-        self.dir.join(format!("tile-{key:016x}-t{threads}.json"))
-    }
 }
 
-/// FNV-1a 64-bit (same constants as the cjit artifact keyer).
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
-}
-
-fn resolve_tune_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("SNOWFLAKE_TUNE_DIR") {
-        if !dir.is_empty() {
-            return PathBuf::from(dir);
-        }
-    }
-    if let Ok(exe) = std::env::current_exe() {
-        if let Some(parent) = exe.parent() {
-            return parent.join("snowflake-tune-cache");
-        }
-    }
-    std::env::temp_dir().join("snowflake-tune-cache")
+fn artifact_name(key: u64, threads: usize) -> String {
+    format!("tile-{key:016x}-t{threads}.json")
 }
 
 fn render_artifact(threads: usize, tile: &[i64]) -> String {
@@ -157,9 +117,8 @@ fn render_artifact(threads: usize, tile: &[i64]) -> String {
     )
 }
 
-fn read_artifact(path: &Path, threads: usize) -> Option<Vec<i64>> {
-    let body = std::fs::read_to_string(path).ok()?;
-    let doc = json::parse(&body).ok()?;
+fn parse_artifact(body: &str, threads: usize) -> Option<Vec<i64>> {
+    let doc = json::parse(body).ok()?;
     if doc.get("version")?.as_u64()? != VERSION {
         return None;
     }
@@ -176,27 +135,6 @@ fn read_artifact(path: &Path, threads: usize) -> Option<Vec<i64>> {
         })
         .collect();
     tile.filter(|t| !t.is_empty())
-}
-
-/// Write via a staging file in the same directory, then rename: readers
-/// never observe a torn artifact.
-fn persist_atomic(path: &Path, body: &str) -> std::io::Result<()> {
-    let dir = path.parent().expect("artifact path has a parent");
-    std::fs::create_dir_all(dir)?;
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let staging = dir.join(format!(
-        ".staging_{}_{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::write(&staging, body)?;
-    match std::fs::rename(&staging, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&staging);
-            Err(e)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -219,16 +157,17 @@ mod tests {
         m
     }
 
-    fn tmp_tuner(tag: &str) -> TileTuner {
+    fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir =
             std::env::temp_dir().join(format!("snowflake-tune-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        TileTuner::new(Some(dir))
+        dir
     }
 
     #[test]
     fn store_then_lookup_round_trips_with_untiled_encoding() {
-        let tuner = tmp_tuner("roundtrip");
+        let dir = tmp_dir("roundtrip");
+        let tuner = TileTuner::new(ArtifactStore::new(Some(dir.clone())));
         let key = TileTuner::key(&group(2.0), &shapes(16), 4);
         assert_eq!(tuner.lookup(key, 4), None, "cold cache");
         tuner.store(key, 4, &[8, UNTILED, 64], 3);
@@ -239,11 +178,11 @@ mod tests {
         assert_eq!(stats.candidates_timed, 3);
         // A second tuner over the same directory serves the artifact with
         // fresh counters — the cross-process steady state.
-        let warm = TileTuner::new(Some(tuner.dir().to_path_buf()));
+        let warm = TileTuner::new(ArtifactStore::new(Some(dir.clone())));
         assert_eq!(warm.lookup(key, 4), Some(vec![8, UNTILED, 64]));
         assert_eq!(warm.stats().disk_hits, 1);
         assert_eq!(warm.stats().disk_misses, 0);
-        let _ = std::fs::remove_dir_all(tuner.dir());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -257,13 +196,14 @@ mod tests {
 
     #[test]
     fn thread_count_mismatch_and_garbage_are_misses() {
-        let tuner = tmp_tuner("mismatch");
+        let dir = tmp_dir("mismatch");
+        let tuner = TileTuner::new(ArtifactStore::new(Some(dir.clone())));
         let key = TileTuner::key(&group(2.0), &shapes(16), 4);
         tuner.store(key, 4, &[8, 8], 2);
         assert_eq!(tuner.lookup(key, 8), None, "different thread count");
         // Corrupt artifact: must be treated as a miss, not a panic.
-        std::fs::write(tuner.artifact_path(key, 4), "not json").unwrap();
+        std::fs::write(dir.join(artifact_name(key, 4)), "not json").unwrap();
         assert_eq!(tuner.lookup(key, 4), None);
-        let _ = std::fs::remove_dir_all(tuner.dir());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

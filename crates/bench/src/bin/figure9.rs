@@ -25,7 +25,9 @@
 //! the standalone driver).
 //!
 //! `--tune` enables the persisted tile auto-tuner on backends that support
-//! it (`omp`), whose cache directory is the `SNOWFLAKE_TUNE_DIR` chain.
+//! it (`omp`), whose decisions persist in the artifact store beside the
+//! cjit shared objects (`$SNOWFLAKE_CACHE_DIR`, else `snowflake-cache/`
+//! next to the executable).
 //! It surfaces in the metrics JSON through each report's `tune` object,
 //! beside the kernel specializer's `spec` counters.
 //!

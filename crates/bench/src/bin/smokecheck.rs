@@ -30,7 +30,7 @@
 //!
 //! With `--tune`, the documents are instead two consecutive
 //! `figure9 --smoke --backend omp --tune` runs sharing one
-//! `SNOWFLAKE_TUNE_DIR`: the checks switch to the omp row's `tune` and
+//! `SNOWFLAKE_CACHE_DIR`: the checks switch to the omp row's `tune` and
 //! `spec` blocks — the cold run must time candidates and persist
 //! decisions (`disk_misses > 0`), the warm run must be served entirely
 //! from the on-disk tuner cache (`disk_hits > 0`, `disk_misses == 0`),

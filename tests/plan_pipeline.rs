@@ -1,8 +1,10 @@
 //! Integration tests for the plan-once-run-many pipeline: a
 //! [`SolverPlan`] built from real HPGMG operator groups produces bitwise
 //! the same grids as the per-call [`CompileCache`] path, the backend
-//! registry constructs every named backend, and the cjit persistent
-//! artifact cache serves a second process-equivalent compile from disk.
+//! registry constructs every named backend, the cjit persistent
+//! artifact store serves a second process-equivalent compile from disk,
+//! and the store's error paths (corrupt artifact, unwritable directory,
+//! racing writers) degrade to compiling with identical results.
 
 use snowflake::backends::{
     available_backends, backend_from_name, Backend, BackendOptions, CJitBackend, CompileCache,
@@ -178,5 +180,159 @@ fn cjit_disk_cache_serves_a_second_backend_with_identical_results() {
         "cached artifact must be bitwise-identical"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fresh, empty-to-be directory under the system temp dir.
+fn fresh_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("snowflake-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// One VC GSRB smooth of the deterministic level-0 grids through
+/// `backend`; returns the smoothed solution.
+fn smooth_once(backend: &dyn Backend, n: usize) -> Vec<f64> {
+    let problem = Problem::poisson_vc(n);
+    let (names, mut grids) = level_grids(&problem, n);
+    let h2inv = (n * n) as f64;
+    let group = gsrb_smooth_group(&names, Coeff::Variable, problem.a, problem.b, h2inv);
+    let exe = backend.compile(&group, &grids.shapes()).unwrap();
+    exe.run(&mut grids).unwrap();
+    grids.get(&names.x).unwrap().as_slice().to_vec()
+}
+
+/// Names of the entries of `dir` (empty when it does not exist).
+fn entries(dir: &std::path::Path) -> Vec<String> {
+    dir.read_dir()
+        .map(|it| {
+            it.map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect()
+        })
+        .unwrap_or_default()
+}
+
+fn is_cjit_artifact(name: &str) -> bool {
+    name.starts_with("cjit_") && name.ends_with(".so")
+}
+
+#[test]
+fn cjit_corrupt_artifact_is_evicted_and_rebuilt() {
+    if !CJitBackend::available() {
+        eprintln!("(skipped: no C compiler)");
+        return;
+    }
+    let dir = fresh_dir("store-corrupt");
+    let n = 8;
+    let cold = CJitBackend::new().with_cache_dir(dir.clone());
+    let reference = smooth_once(&cold, n);
+    let artifacts: Vec<String> = entries(&dir)
+        .into_iter()
+        .filter(|e| is_cjit_artifact(e))
+        .collect();
+    assert!(!artifacts.is_empty(), "cold compile persisted an artifact");
+    for name in &artifacts {
+        // A new inode, so nothing already mapped from the old file changes.
+        std::fs::remove_file(dir.join(name)).unwrap();
+        std::fs::write(dir.join(name), b"not a shared object").unwrap();
+    }
+
+    let rebuilt = CJitBackend::new().with_cache_dir(dir.clone());
+    assert_eq!(
+        smooth_once(&rebuilt, n),
+        reference,
+        "rebuilt artifact output"
+    );
+    let (hits, misses) = rebuilt.disk_stats();
+    assert_eq!((hits, misses), (0, 1), "a corrupt artifact is a miss");
+
+    let warm = CJitBackend::new().with_cache_dir(dir.clone());
+    assert_eq!(
+        smooth_once(&warm, n),
+        reference,
+        "re-persisted artifact output"
+    );
+    assert_eq!(warm.disk_stats(), (1, 0), "the rebuilt artifact is served");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unwritable_store_still_compiles_and_tunes() {
+    // A directory under a regular file can never be created, whatever the
+    // permissions of the user running the tests.
+    let blocker = fresh_dir("store-blocker");
+    std::fs::write(&blocker, b"a file, not a directory").unwrap();
+    let dir = blocker.join("store");
+    let n = 16;
+    let reference = smooth_once(
+        &*backend_from_name("seq", &BackendOptions::default()).unwrap(),
+        n,
+    );
+
+    let opts = BackendOptions::default()
+        .with_tune(true)
+        .with_cache_dir(dir.clone());
+    for round in 0..2 {
+        let omp = backend_from_name("omp", &opts).unwrap();
+        assert_eq!(smooth_once(&*omp, n), reference, "omp round {round}");
+        let stats = omp.tune_stats();
+        assert_eq!(
+            (stats.disk_hits, stats.disk_misses),
+            (0, 1),
+            "round {round}: the tuner chose a tile, and nothing persisted to serve it later"
+        );
+        assert!(stats.candidates_timed >= 1);
+    }
+
+    if CJitBackend::available() {
+        let cjit = CJitBackend::new().with_cache_dir(dir.clone());
+        let out = smooth_once(&cjit, n);
+        let diff = out
+            .iter()
+            .zip(&reference)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max);
+        assert!(diff < 1e-12, "cjit deviates from seq by {diff}");
+        assert_eq!(cjit.disk_stats(), (0, 1));
+    } else {
+        eprintln!("(cjit part skipped: no C compiler)");
+    }
+    assert!(!dir.exists());
+    let _ = std::fs::remove_file(&blocker);
+}
+
+#[test]
+fn racing_cjit_writers_leave_one_artifact_and_no_staging_file() {
+    if !CJitBackend::available() {
+        eprintln!("(skipped: no C compiler)");
+        return;
+    }
+    let dir = fresh_dir("store-race");
+    let n = 8;
+    let outputs: Vec<Vec<f64>> = std::thread::scope(|scope| {
+        let racers: Vec<_> = (0..4)
+            .map(|_| {
+                let dir = dir.clone();
+                scope.spawn(move || smooth_once(&CJitBackend::new().with_cache_dir(dir), n))
+            })
+            .collect();
+        racers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    for out in &outputs[1..] {
+        assert_eq!(
+            out, &outputs[0],
+            "racing writers computed different results"
+        );
+    }
+    let names = entries(&dir);
+    assert_eq!(
+        names.iter().filter(|e| is_cjit_artifact(e)).count(),
+        1,
+        "{names:?}"
+    );
+    assert!(
+        !names.iter().any(|e| e.starts_with(".staging_")),
+        "{names:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
