@@ -15,8 +15,10 @@
 //!   run concurrently).
 //!
 //! Execution order per point is kept **bitwise identical** to the
-//! sequential backend: the linear/poly/bytecode accumulation orders below
-//! mirror `crate::exec` term for term, so `checked` ≡ `seq` exactly on
+//! sequential backend: `compile` runs the same specialization pass
+//! (`crate::specialize::specialize_lowered`) and each point evaluates the
+//! kernel's closed form in the same left fold as the row executors (or the
+//! bytecode program when there is none), so `checked` ≡ `seq` exactly on
 //! every grid — the sanitizer only observes. Static and dynamic analyses
 //! must agree: any plan `verify_plan` certifies must run here with zero
 //! violations, and every seeded violation the verifier witnesses must also
@@ -26,7 +28,7 @@ use std::collections::HashMap;
 
 use snowflake_core::{CoreError, Result, ShapeMap, StencilGroup};
 use snowflake_grid::{GridSet, Region};
-use snowflake_ir::{lower_group, LowerOptions, Lowered, LoweredKernel, Op};
+use snowflake_ir::{lower_group, ClosedForm, LowerOptions, Lowered, LoweredKernel, Op};
 
 use crate::exec::check_limits;
 use crate::metrics::RunReport;
@@ -58,10 +60,13 @@ impl Backend for CheckedBackend {
     }
 
     fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {
-        let lowered = lower_group(group, shapes, &self.options)?;
+        let mut lowered = lower_group(group, shapes, &self.options)?;
         for k in &lowered.kernels {
             check_limits(k)?;
         }
+        // The same closed forms every compiled backend runs, evaluated
+        // point by point in canonical order.
+        crate::specialize::specialize_lowered(&mut lowered);
         Ok(Box::new(CheckedExecutable { lowered }))
     }
 
@@ -95,7 +100,7 @@ fn oob_violation(
 }
 
 /// Evaluate one iteration point with range-checked reads, in the exact
-/// accumulation order of `crate::exec` (bitwise parity with `seq`).
+/// accumulation order of the row executors (bitwise parity with `seq`).
 fn eval_point(
     kernel: &LoweredKernel,
     cur: &[isize],
@@ -111,54 +116,57 @@ fn eval_point(
             Ok(bufs[g][idx as usize])
         }
     };
-    if let Some(lf) = &kernel.linear {
-        let mut acc = lf.bias;
-        for &(c, d, k) in &lf.terms {
-            acc += k * read(c as usize, d)?;
-        }
-        Ok(acc)
-    } else if let Some(pf) = &kernel.poly {
-        let mut acc = pf.bias;
-        let mut r = 0usize;
-        for (t, &coeff) in pf.flat_coeffs.iter().enumerate() {
-            let mut prod = coeff;
-            let len = pf.flat_lens[t] as usize;
-            for &(c, d) in &pf.flat_reads[r..r + len] {
-                prod *= read(c as usize, d)?;
+    match &kernel.form {
+        Some(ClosedForm::Linear(lf)) => {
+            let mut acc = lf.bias;
+            for t in 0..lf.arity() {
+                acc += lf.coeffs[t] * read(lf.classes[t] as usize, lf.deltas[t])?;
             }
-            r += len;
-            acc += prod;
+            Ok(acc)
         }
-        Ok(acc)
-    } else {
-        stack.clear();
-        for op in &kernel.program.ops {
-            match *op {
-                Op::Const(v) => stack.push(v),
-                Op::Read { class, delta } => stack.push(read(class as usize, delta)?),
-                Op::Add => {
-                    let v = stack.pop().unwrap();
-                    *stack.last_mut().unwrap() += v;
+        Some(ClosedForm::Poly(pf)) => {
+            let mut acc = pf.bias;
+            let mut r = 0usize;
+            for (t, &coeff) in pf.coeffs.iter().enumerate() {
+                let mut prod = coeff;
+                for _ in 0..pf.lens[t] {
+                    prod *= read(pf.read_classes[r] as usize, pf.read_deltas[r])?;
+                    r += 1;
                 }
-                Op::Sub => {
-                    let v = stack.pop().unwrap();
-                    *stack.last_mut().unwrap() -= v;
-                }
-                Op::Mul => {
-                    let v = stack.pop().unwrap();
-                    *stack.last_mut().unwrap() *= v;
-                }
-                Op::Div => {
-                    let v = stack.pop().unwrap();
-                    *stack.last_mut().unwrap() /= v;
-                }
-                Op::Neg => {
-                    let v = stack.last_mut().unwrap();
-                    *v = -*v;
+                acc += prod;
+            }
+            Ok(acc)
+        }
+        None => {
+            stack.clear();
+            for op in &kernel.program.ops {
+                match *op {
+                    Op::Const(v) => stack.push(v),
+                    Op::Read { class, delta } => stack.push(read(class as usize, delta)?),
+                    Op::Add => {
+                        let v = stack.pop().unwrap();
+                        *stack.last_mut().unwrap() += v;
+                    }
+                    Op::Sub => {
+                        let v = stack.pop().unwrap();
+                        *stack.last_mut().unwrap() -= v;
+                    }
+                    Op::Mul => {
+                        let v = stack.pop().unwrap();
+                        *stack.last_mut().unwrap() *= v;
+                    }
+                    Op::Div => {
+                        let v = stack.pop().unwrap();
+                        *stack.last_mut().unwrap() /= v;
+                    }
+                    Op::Neg => {
+                        let v = stack.last_mut().unwrap();
+                        *v = -*v;
+                    }
                 }
             }
+            Ok(stack.pop().unwrap())
         }
-        Ok(stack.pop().unwrap())
     }
 }
 

@@ -3,10 +3,10 @@
 //! The tiled presets (`seq`, `omp`, `oclsim`) and `dist` funnel into
 //! [`run_kernel_region`]. The loop nest walks the region in row-major
 //! order, keeping one linear *cursor* per access class; the innermost loop
-//! advances the cursors by precomputed steps and evaluates the chunked
-//! executors of [`crate::specialize`] (parallel-safe kernels with a
-//! closed-form record), the per-point linear or sum-of-products forms
-//! (sequential kernels), or the bytecode program.
+//! advances the cursors by precomputed steps and evaluates the kernel's
+//! closed form through the row executors of [`crate::specialize`] (chunked
+//! for parallel-safe kernels, one point at a time for sequential ones), or
+//! the bytecode program when the kernel has no closed form.
 //!
 //! Execution order within a region is canonical row-major, which defines
 //! the semantics of kernels that are *not* parallel-safe (lexicographic
@@ -16,9 +16,9 @@
 #![allow(clippy::needless_range_loop)] // cursor bumps index parallel fixed arrays
 
 use snowflake_grid::{Region, MAX_DIMS};
-use snowflake_ir::bytecode::LinearForm;
 use snowflake_ir::{LoweredKernel, Op};
 
+use crate::specialize::{run_row_strided, run_row_unit, CHUNK};
 use crate::view::GridPtrs;
 
 /// Maximum cursor classes per kernel (grids × distinct scales).
@@ -122,12 +122,12 @@ fn for_each_row(region: &Region, mut row: impl FnMut(&[i64])) {
 
 /// The row-invariant part of one kernel's walk over one region: the
 /// per-class grid table and innermost cursor steps.
-struct RowPlan<'k> {
-    kernel: &'k LoweredKernel,
-    class_grid: [usize; MAX_CLASSES],
-    inner_step: [isize; MAX_CLASSES],
-    out_step: isize,
-    count: i64,
+pub(crate) struct RowPlan<'k> {
+    pub(crate) kernel: &'k LoweredKernel,
+    pub(crate) class_grid: [usize; MAX_CLASSES],
+    pub(crate) inner_step: [isize; MAX_CLASSES],
+    pub(crate) out_step: isize,
+    pub(crate) count: i64,
     /// Every cursor (the output's included) advances by 1 along the row.
     unit: bool,
 }
@@ -153,15 +153,6 @@ impl<'k> RowPlan<'k> {
         }
     }
 
-    /// Advance the cursors and the output index by one point.
-    #[inline(always)]
-    fn step(&self, cur: &mut [isize; MAX_CLASSES], out_idx: &mut isize) {
-        for s in 0..self.kernel.classes.len() {
-            cur[s] += self.inner_step[s];
-        }
-        *out_idx += self.out_step;
-    }
-
     /// Evaluate the row starting at point `p`.
     ///
     /// # Safety
@@ -174,92 +165,29 @@ impl<'k> RowPlan<'k> {
             cur[c] = cl.cursor_at(p);
         }
         let mut out_idx = cur[kernel.out_class as usize] + kernel.out_delta;
-        // Parallel-safe kernels with a closed-form record (every linear or
-        // sum-of-products one) take the chunked executors; their
-        // read-all-then-write-all order is safe exactly because the
-        // Diophantine analysis proved no iteration reads another
-        // iteration's write. Sequential kernels keep canonical point order.
-        if let Some(spec) = kernel.spec.as_ref().filter(|_| kernel.parallel_safe) {
-            if self.unit {
-                crate::specialize::run_row_spec_unit(
-                    spec,
-                    view,
-                    &cur,
-                    &self.class_grid,
-                    self.count,
-                    kernel.out_grid,
-                    out_idx,
-                );
-            } else {
-                crate::specialize::run_row_spec_strided(
-                    spec,
-                    view,
-                    &cur,
-                    &self.class_grid,
-                    &self.inner_step,
-                    self.count,
-                    kernel.out_grid,
-                    out_idx,
-                    self.out_step,
-                );
+        // Parallel-safe kernels take chunked rows: their read-all-then-
+        // write-all order is safe exactly because the Diophantine analysis
+        // proved no iteration reads another iteration's write. Sequential
+        // kernels take chunks of one point, i.e. canonical point order.
+        match &kernel.form {
+            Some(form) if kernel.parallel_safe && self.unit => {
+                run_row_unit(form, view, self, &cur, out_idx);
             }
-        } else if let Some(lf) = &kernel.linear {
-            run_row_linear(lf, view, self, cur, out_idx);
-        } else if let Some(pf) = &kernel.poly {
-            run_row_poly(pf, view, self, cur, out_idx);
-        } else {
-            for _ in 0..self.count {
-                let v = eval_bytecode(kernel, &cur, &self.class_grid, view);
-                view.write(kernel.out_grid, out_idx, v);
-                self.step(&mut cur, &mut out_idx);
+            Some(form) if kernel.parallel_safe => {
+                run_row_strided::<CHUNK>(form, view, self, &cur, out_idx);
+            }
+            Some(form) => run_row_strided::<1>(form, view, self, &cur, out_idx),
+            None => {
+                for _ in 0..self.count {
+                    let v = eval_bytecode(kernel, &cur, &self.class_grid, view);
+                    view.write(kernel.out_grid, out_idx, v);
+                    for s in 0..kernel.classes.len() {
+                        cur[s] += self.inner_step[s];
+                    }
+                    out_idx += self.out_step;
+                }
             }
         }
-    }
-}
-
-/// Hot loop for linear-form kernels: pure FMA chain per point.
-#[inline(always)]
-unsafe fn run_row_linear(
-    lf: &LinearForm,
-    view: &GridPtrs<'_>,
-    row: &RowPlan<'_>,
-    mut cur: [isize; MAX_CLASSES],
-    mut out_idx: isize,
-) {
-    for _ in 0..row.count {
-        let mut acc = lf.bias;
-        for &(c, d, k) in &lf.terms {
-            acc += k * view.read(row.class_grid[c as usize], cur[c as usize] + d);
-        }
-        view.write(row.kernel.out_grid, out_idx, acc);
-        row.step(&mut cur, &mut out_idx);
-    }
-}
-
-/// Hot loop for sum-of-products kernels (variable-coefficient operators):
-/// a flat multiply-accumulate chain per point.
-#[inline(always)]
-unsafe fn run_row_poly(
-    pf: &snowflake_ir::bytecode::PolyForm,
-    view: &GridPtrs<'_>,
-    row: &RowPlan<'_>,
-    mut cur: [isize; MAX_CLASSES],
-    mut out_idx: isize,
-) {
-    for _ in 0..row.count {
-        let mut acc = pf.bias;
-        let mut r = 0usize;
-        for (t, &coeff) in pf.flat_coeffs.iter().enumerate() {
-            let mut p = coeff;
-            let len = pf.flat_lens[t] as usize;
-            for &(c, d) in &pf.flat_reads[r..r + len] {
-                p *= view.read(row.class_grid[c as usize], cur[c as usize] + d);
-            }
-            r += len;
-            acc += p;
-        }
-        view.write(row.kernel.out_grid, out_idx, acc);
-        row.step(&mut cur, &mut out_idx);
     }
 }
 
@@ -311,7 +239,7 @@ mod tests {
     use super::*;
     use snowflake_core::{weights2, Component, Expr, RectDomain, ShapeMap, Stencil, StencilGroup};
     use snowflake_grid::{Grid, GridSet};
-    use snowflake_ir::{lower_group, LowerOptions};
+    use snowflake_ir::{lower_group, ClosedForm, LowerOptions};
 
     fn setup(n: usize) -> (GridSet, ShapeMap) {
         let mut gs = GridSet::new();
@@ -326,18 +254,19 @@ mod tests {
         (gs, shapes)
     }
 
+    /// Run through the bytecode program (no closed forms attached).
     fn run_one(group: &StencilGroup, gs: &mut GridSet) {
         run_lowered(group, gs, false);
     }
 
-    /// As `run_one`, optionally attaching specialization records first.
+    /// As `run_one`, optionally attaching closed forms first.
     fn run_lowered(group: &StencilGroup, gs: &mut GridSet, specialize: bool) {
         let mut lowered = lower_group(group, &gs.shapes(), &LowerOptions::default()).unwrap();
         if specialize {
             crate::specialize::specialize_lowered(&mut lowered);
             assert!(
-                lowered.kernels.iter().all(|k| k.spec.is_some()),
-                "the chunked executors must be engaged"
+                lowered.kernels.iter().all(|k| k.form.is_some()),
+                "the row executors must be engaged"
             );
         }
         let (ptrs, lens) = crate::check_and_ptrs(&lowered, gs).unwrap();
@@ -384,8 +313,12 @@ mod tests {
             * (Expr::read_at("x", &[0, 1]) - Expr::read_at("x", &[0, -1]));
         let s = Stencil::new(e.clone(), "y", RectDomain::interior(2));
         let group = StencilGroup::from(s);
-        let lowered = lower_group(&group, &gs.shapes(), &LowerOptions::default()).unwrap();
-        assert!(lowered.kernels[0].linear.is_none(), "must not linearize");
+        let mut lowered = lower_group(&group, &gs.shapes(), &LowerOptions::default()).unwrap();
+        crate::specialize::specialize_lowered(&mut lowered);
+        assert!(
+            matches!(lowered.kernels[0].form, Some(ClosedForm::Poly(_))),
+            "must not linearize"
+        );
         let (x, beta) = (
             gs.get("x").unwrap().clone(),
             gs.get("beta").unwrap().clone(),
@@ -406,10 +339,14 @@ mod tests {
         let (mut gs, _) = setup(n);
         let lap = Component::new("x", weights2![[0, 1, 0], [1, -4, 1], [0, 1, 0]]);
         let group = StencilGroup::from(Stencil::new(lap, "y", RectDomain::interior(2)));
-        let lowered = lower_group(&group, &gs.shapes(), &LowerOptions::default()).unwrap();
-        assert!(lowered.kernels[0].linear.is_some(), "should linearize");
+        let mut lowered = lower_group(&group, &gs.shapes(), &LowerOptions::default()).unwrap();
+        crate::specialize::specialize_lowered(&mut lowered);
+        assert!(
+            matches!(lowered.kernels[0].form, Some(ClosedForm::Linear(_))),
+            "should linearize"
+        );
         let x = gs.get("x").unwrap().clone();
-        run_one(&group, &mut gs);
+        run_lowered(&group, &mut gs, true);
         let y = gs.get("y").unwrap();
         for i in 1..n - 1 {
             for j in 1..n - 1 {
@@ -449,19 +386,22 @@ mod tests {
 
     #[test]
     fn in_place_sequential_gauss_seidel_semantics() {
-        // x[p] = x[p-1] over 1-D: serial semantics propagate the first cell.
-        let mut gs = GridSet::new();
-        let mut x = Grid::new(&[6]);
-        x.as_mut_slice()
-            .copy_from_slice(&[9.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
-        gs.insert("x", x);
-        let s = Stencil::new(
-            Expr::read_at("x", &[-1]),
-            "x",
-            RectDomain::new(&[1], &[0], &[1]),
-        );
-        run_one(&StencilGroup::from(s), &mut gs);
-        assert_eq!(gs.get("x").unwrap().as_slice(), &[9.0; 6]);
+        // x[p] = x[p-1] over 1-D: serial semantics propagate the first
+        // cell, through the bytecode program and through the closed form.
+        for specialize in [false, true] {
+            let mut gs = GridSet::new();
+            let mut x = Grid::new(&[6]);
+            x.as_mut_slice()
+                .copy_from_slice(&[9.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+            gs.insert("x", x);
+            let s = Stencil::new(
+                Expr::read_at("x", &[-1]),
+                "x",
+                RectDomain::new(&[1], &[0], &[1]),
+            );
+            run_lowered(&StencilGroup::from(s), &mut gs, specialize);
+            assert_eq!(gs.get("x").unwrap().as_slice(), &[9.0; 6], "{specialize}");
+        }
     }
 
     #[test]

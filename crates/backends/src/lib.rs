@@ -11,11 +11,17 @@
 //! | [`interp::InterpreterBackend`] | the Python reference backend | walks the expression tree per point; slow, canonical semantics |
 //! | [`tiled::TiledBackend`] | sequential C, C + OpenMP, C + OpenCL (execution model) | one executor with three [`tiled::Decomposition`] presets: `seq` ([`SequentialBackend`], whole regions on one thread), `omp` ([`OmpBackend`], rayon task farm with arbitrary-dimension tiling, multicolor reordering and fusion), `oclsim` ([`OclSimBackend`], tall-skinny 2-D work-groups rolled through the remaining dimension on CPU threads); greedy barrier phases and specialized kernels in all three |
 //! | [`cjit::CJitBackend`] | C + OpenMP via a real C compiler | emits C99 (see [`codegen_c`]), invokes the system `cc`, `dlopen`s the result — the paper's actual JIT pipeline |
-//! | [`checked::CheckedBackend`] | — (sanitizer) | instrumented interpreter over the lowered form: range-checks every access, tracks per-phase shadow write-sets, bitwise-identical to `seq` |
+//! | [`checked::CheckedBackend`] | — (sanitizer) | instrumented interpreter over the lowered form: evaluates the same closed forms point by point, range-checks every access, tracks per-phase shadow write-sets, bitwise-identical to `seq` |
 //!
-//! [`codegen_c`] and [`codegen_ocl`] emit C/OpenMP and OpenCL source from
-//! the lowered IR; `cjit` executes the former, while the latter documents
-//! the GPU path (no OpenCL runtime is assumed to exist).
+//! Every compiled backend and `checked` run one pass,
+//! [`specialize::specialize_lowered`], which derives each kernel's closed
+//! form (linear or sum of products, structure-of-arrays); the row
+//! executors of [`specialize`] are the one evaluator of those forms.
+//!
+//! [`codegen_c`], [`codegen_ocl`] and [`codegen_cuda`] emit C/OpenMP,
+//! OpenCL and CUDA source from the lowered IR (the two GPU dialects share
+//! one kernel skeleton); `cjit` executes the C, while the GPU sources
+//! document the GPU path (no OpenCL or CUDA runtime is assumed to exist).
 //!
 //! All backends implement [`Backend`] and produce [`Executable`]s; a
 //! [`CompileCache`] memoizes compilation per (group, shapes), mirroring the
@@ -34,6 +40,7 @@ pub mod checked;
 pub mod cjit;
 pub mod codegen_c;
 pub mod codegen_cuda;
+mod codegen_gpu;
 pub mod codegen_ocl;
 pub mod dist;
 pub mod exec;

@@ -40,6 +40,81 @@
 use snowflake_backends::metrics::json;
 use snowflake_bench::arg_flag;
 
+/// One implementation row of a metrics document.
+struct Row {
+    /// The row's `impl` label, e.g. `Snowflake/cjit`.
+    implementation: String,
+    /// The row's `report` object, when it has one.
+    report: Option<json::Value>,
+}
+
+impl Row {
+    /// `report.<keys…>`, converted by `as_num` (e.g.
+    /// [`json::Value::as_u64`]). Errors name the document, the row and
+    /// the missing report, block or key.
+    fn field<T>(
+        &self,
+        path: &str,
+        keys: &[&str],
+        as_num: fn(&json::Value) -> Option<T>,
+    ) -> Result<T, String> {
+        let who = &self.implementation;
+        let mut value = self
+            .report
+            .as_ref()
+            .ok_or_else(|| format!("{path}: {who} row has no report"))?;
+        let (key, blocks) = keys.split_last().expect("at least one key");
+        for block in blocks {
+            value = value
+                .get(block)
+                .ok_or_else(|| format!("{path}: {who} report has no {block} block"))?;
+        }
+        value
+            .get(key)
+            .and_then(as_num)
+            .ok_or_else(|| format!("{path}: {who} report missing {}", keys.join(".")))
+    }
+
+    /// A Snowflake plan row with a report (the hand baseline has no plan).
+    fn is_plan(&self) -> bool {
+        self.implementation.starts_with("Snowflake/") && self.report.is_some()
+    }
+}
+
+/// Read and parse a metrics document into its labelled rows.
+fn read_rows(path: &str) -> Result<Vec<Row>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let doc = json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+    let rows = doc
+        .get("rows")
+        .and_then(|r| r.as_array())
+        .ok_or_else(|| format!("{path}: no \"rows\" array"))?;
+    Ok(rows
+        .iter()
+        .filter_map(|row| {
+            Some(Row {
+                implementation: row.get("impl")?.as_str()?.to_string(),
+                report: row.get("report").cloned(),
+            })
+        })
+        .collect())
+}
+
+/// The first row labelled `implementation`.
+fn find_row(path: &str, implementation: &str) -> Result<Option<Row>, String> {
+    Ok(read_rows(path)?
+        .into_iter()
+        .find(|r| r.implementation == implementation))
+}
+
+/// Read or exit 2: a document that cannot be read is a usage error.
+fn or_exit<T>(read: Result<T, String>) -> T {
+    read.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
 /// The cjit row's report facts a check needs.
 struct CjitFacts {
     disk_hits: u64,
@@ -48,37 +123,15 @@ struct CjitFacts {
 }
 
 fn cjit_facts(path: &str) -> Result<Option<CjitFacts>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    let rows = doc
-        .get("rows")
-        .and_then(|r| r.as_array())
-        .ok_or_else(|| format!("{path}: no \"rows\" array"))?;
-    for row in rows {
-        if row.get("impl").and_then(|v| v.as_str()) != Some("Snowflake/cjit") {
-            continue;
-        }
-        let report = row
-            .get("report")
-            .ok_or_else(|| format!("{path}: cjit row has no report"))?;
-        let cache = report
-            .get("cache")
-            .ok_or_else(|| format!("{path}: cjit report has no cache object"))?;
-        let field_u64 = |obj: &json::Value, key: &str| {
-            obj.get(key)
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("{path}: cjit report missing {key}"))
-        };
-        return Ok(Some(CjitFacts {
-            disk_hits: field_u64(cache, "disk_hits")?,
-            disk_misses: field_u64(cache, "disk_misses")?,
-            compile_seconds: report
-                .get("compile_seconds")
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("{path}: cjit report missing compile_seconds"))?,
-        }));
-    }
-    Ok(None)
+    let Some(row) = find_row(path, "Snowflake/cjit")? else {
+        return Ok(None);
+    };
+    let count = |block, key| row.field(path, &[block, key], json::Value::as_u64);
+    Ok(Some(CjitFacts {
+        disk_hits: count("cache", "disk_hits")?,
+        disk_misses: count("cache", "disk_misses")?,
+        compile_seconds: row.field(path, &["compile_seconds"], json::Value::as_f64)?,
+    }))
 }
 
 /// The omp row's specializer + tuner facts for the `--tune` assertions.
@@ -90,46 +143,24 @@ struct TuneFacts {
 }
 
 fn tune_facts(path: &str) -> Result<TuneFacts, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    let rows = doc
-        .get("rows")
-        .and_then(|r| r.as_array())
-        .ok_or_else(|| format!("{path}: no \"rows\" array"))?;
-    for row in rows {
-        if row.get("impl").and_then(|v| v.as_str()) != Some("Snowflake/omp") {
-            continue;
-        }
-        let report = row
-            .get("report")
-            .ok_or_else(|| format!("{path}: omp row has no report"))?;
-        let block_u64 = |block: &str, key: &str| {
-            report
-                .get(block)
-                .and_then(|b| b.get(key))
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("{path}: omp report missing {block}.{key}"))
-        };
-        return Ok(TuneFacts {
-            kernels_specialized: block_u64("spec", "kernels_specialized")?,
-            tune_disk_hits: block_u64("tune", "disk_hits")?,
-            tune_disk_misses: block_u64("tune", "disk_misses")?,
-            candidates_timed: block_u64("tune", "candidates_timed")?,
-        });
-    }
-    Err(format!("{path}: no Snowflake/omp row"))
+    let row =
+        find_row(path, "Snowflake/omp")?.ok_or_else(|| format!("{path}: no Snowflake/omp row"))?;
+    let count = |block, key| row.field(path, &[block, key], json::Value::as_u64);
+    Ok(TuneFacts {
+        kernels_specialized: count("spec", "kernels_specialized")?,
+        tune_disk_hits: count("tune", "disk_hits")?,
+        tune_disk_misses: count("tune", "disk_misses")?,
+        candidates_timed: count("tune", "candidates_timed")?,
+    })
 }
 
 /// The `--tune` check: cold run populates the tuner cache, warm run is
 /// served from it, the specializer stays engaged in both.
 fn check_tune(first_path: &str, second_path: &str) -> ! {
-    let load = |path: &str| {
-        tune_facts(path).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })
-    };
-    let (first, second) = (load(first_path), load(second_path));
+    let (first, second) = (
+        or_exit(tune_facts(first_path)),
+        or_exit(tune_facts(second_path)),
+    );
     let mut failed = false;
     if first.tune_disk_misses == 0 || first.candidates_timed == 0 {
         eprintln!(
@@ -168,95 +199,90 @@ fn check_tune(first_path: &str, second_path: &str) -> ! {
     std::process::exit(0);
 }
 
-/// Per-row `verify` certificate facts for the `--verify` assertions.
-struct VerifyFacts {
-    implementation: String,
-    stencils_checked: u64,
-    witnesses: u64,
+/// A per-row analysis gate (`--verify`, `--lint`): every Snowflake plan
+/// row's `report.<block>` must show the analysis ran (`ran > 0`) and found
+/// nothing (`found == 0`). A plan row *without* the block is itself a
+/// failure: the run was not analysed.
+struct Gate {
+    block: &'static str,
+    ran: &'static str,
+    found: &'static str,
+    /// "no {done} Snowflake rows to check".
+    done: &'static str,
+    /// "{n} Snowflake row(s) {clean}".
+    clean: &'static str,
+    /// "{impl} {not_run}".
+    not_run: &'static str,
+    /// "{impl} {findings.0}{n}{findings.1}".
+    findings: (&'static str, &'static str),
 }
 
-/// Extract the `verify` block of every Snowflake row that has a report.
-/// A Snowflake row *without* a `verify` block is itself an error under
-/// `--verify`: the run was not certified.
-fn verify_facts(path: &str) -> Result<Vec<VerifyFacts>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    let rows = doc
-        .get("rows")
-        .and_then(|r| r.as_array())
-        .ok_or_else(|| format!("{path}: no \"rows\" array"))?;
-    let mut facts = Vec::new();
-    for row in rows {
-        let Some(implementation) = row.get("impl").and_then(|v| v.as_str()) else {
-            continue;
-        };
-        if !implementation.starts_with("Snowflake/") {
-            continue; // the hand baseline is not a plan; nothing to certify
+const VERIFY: Gate = Gate {
+    block: "verify",
+    ran: "stencils_checked",
+    found: "witnesses",
+    done: "certified",
+    clean: "certified",
+    not_run: "ran with an uncertified plan (0 stencils checked)",
+    findings: ("certificate records ", " witness(es)"),
+};
+
+const LINT: Gate = Gate {
+    block: "lint",
+    ran: "rules_run",
+    found: "lints",
+    done: "linted",
+    clean: "linted clean",
+    not_run: "ran with an unlinted plan (0 rules run)",
+    findings: ("plan carries ", " lint finding(s)"),
+};
+
+/// Run `gate` over both documents; returns whether any check failed (a
+/// document that cannot be read fails with exit 1).
+fn check_gate(gate: &Gate, paths: [&str; 2], mut failed: bool) -> bool {
+    for path in paths {
+        let facts: Vec<(String, u64, u64)> = read_rows(path)
+            .and_then(|rows| {
+                let plans = rows.into_iter().filter(Row::is_plan);
+                plans
+                    .map(|row| {
+                        let count = |key| row.field(path, &[gate.block, key], json::Value::as_u64);
+                        Ok((
+                            row.implementation.clone(),
+                            count(gate.ran)?,
+                            count(gate.found)?,
+                        ))
+                    })
+                    .collect()
+            })
+            .unwrap_or_else(|e| {
+                eprintln!("FAIL: {e}");
+                std::process::exit(1);
+            });
+        if facts.is_empty() {
+            eprintln!("FAIL: {path}: no {} Snowflake rows to check", gate.done);
+            failed = true;
         }
-        let Some(report) = row.get("report") else {
-            continue;
-        };
-        let verify = report
-            .get("verify")
-            .ok_or_else(|| format!("{path}: {implementation} report has no verify block"))?;
-        let field_u64 = |key: &str| {
-            verify
-                .get(key)
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("{path}: {implementation} verify block missing {key}"))
-        };
-        facts.push(VerifyFacts {
-            implementation: implementation.to_string(),
-            stencils_checked: field_u64("stencils_checked")?,
-            witnesses: field_u64("witnesses")?,
-        });
-    }
-    Ok(facts)
-}
-
-/// Per-row `lint` counter facts for the `--lint` assertions.
-struct LintFacts {
-    implementation: String,
-    rules_run: u64,
-    lints: u64,
-}
-
-/// Extract the `lint` block of every Snowflake row that has a report. A
-/// Snowflake row *without* a `lint` block is itself an error under
-/// `--lint`: the run was not linted.
-fn lint_facts(path: &str) -> Result<Vec<LintFacts>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    let rows = doc
-        .get("rows")
-        .and_then(|r| r.as_array())
-        .ok_or_else(|| format!("{path}: no \"rows\" array"))?;
-    let mut facts = Vec::new();
-    for row in rows {
-        let Some(implementation) = row.get("impl").and_then(|v| v.as_str()) else {
-            continue;
-        };
-        if !implementation.starts_with("Snowflake/") {
-            continue; // the hand baseline is not a DSL program; nothing to lint
+        for (implementation, ran, found) in &facts {
+            if *ran == 0 {
+                eprintln!("FAIL: {path}: {implementation} {}", gate.not_run);
+                failed = true;
+            }
+            if *found > 0 {
+                let (before, after) = gate.findings;
+                eprintln!("FAIL: {path}: {implementation} {before}{found}{after}");
+                failed = true;
+            }
         }
-        let Some(report) = row.get("report") else {
-            continue;
-        };
-        let lint = report
-            .get("lint")
-            .ok_or_else(|| format!("{path}: {implementation} report has no lint block"))?;
-        let field_u64 = |key: &str| {
-            lint.get(key)
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("{path}: {implementation} lint block missing {key}"))
-        };
-        facts.push(LintFacts {
-            implementation: implementation.to_string(),
-            rules_run: field_u64("rules_run")?,
-            lints: field_u64("lints")?,
-        });
+        if !failed {
+            println!(
+                "smokecheck: {path}: {} Snowflake row(s) {}",
+                facts.len(),
+                gate.clean
+            );
+        }
     }
-    Ok(facts)
+    failed
 }
 
 fn main() {
@@ -275,86 +301,21 @@ fn main() {
     if tune_mode {
         check_tune(&first_path, &second_path);
     }
-    let load = |path: &str| {
-        cjit_facts(path).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })
-    };
-    let (Some(first), Some(second)) = (load(&first_path), load(&second_path)) else {
+    let (Some(first), Some(second)) = (
+        or_exit(cjit_facts(&first_path)),
+        or_exit(cjit_facts(&second_path)),
+    ) else {
         println!("smokecheck: no cjit rows (no C compiler?) — skipped");
         return;
     };
 
     let mut failed = false;
+    let paths = [first_path.as_str(), second_path.as_str()];
     if check_verify {
-        for path in [&first_path, &second_path] {
-            let facts = verify_facts(path).unwrap_or_else(|e| {
-                eprintln!("FAIL: {e}");
-                std::process::exit(1);
-            });
-            if facts.is_empty() {
-                eprintln!("FAIL: {path}: no certified Snowflake rows to check");
-                failed = true;
-            }
-            for f in &facts {
-                if f.stencils_checked == 0 {
-                    eprintln!(
-                        "FAIL: {path}: {} ran with an uncertified plan \
-                         (0 stencils checked)",
-                        f.implementation
-                    );
-                    failed = true;
-                }
-                if f.witnesses > 0 {
-                    eprintln!(
-                        "FAIL: {path}: {} certificate records {} witness(es)",
-                        f.implementation, f.witnesses
-                    );
-                    failed = true;
-                }
-            }
-            if !failed {
-                println!(
-                    "smokecheck: {path}: {} Snowflake row(s) certified",
-                    facts.len()
-                );
-            }
-        }
+        failed = check_gate(&VERIFY, paths, failed);
     }
     if check_lint {
-        for path in [&first_path, &second_path] {
-            let facts = lint_facts(path).unwrap_or_else(|e| {
-                eprintln!("FAIL: {e}");
-                std::process::exit(1);
-            });
-            if facts.is_empty() {
-                eprintln!("FAIL: {path}: no linted Snowflake rows to check");
-                failed = true;
-            }
-            for f in &facts {
-                if f.rules_run == 0 {
-                    eprintln!(
-                        "FAIL: {path}: {} ran with an unlinted plan (0 rules run)",
-                        f.implementation
-                    );
-                    failed = true;
-                }
-                if f.lints > 0 {
-                    eprintln!(
-                        "FAIL: {path}: {} plan carries {} lint finding(s)",
-                        f.implementation, f.lints
-                    );
-                    failed = true;
-                }
-            }
-            if !failed {
-                println!(
-                    "smokecheck: {path}: {} Snowflake row(s) linted clean",
-                    facts.len()
-                );
-            }
-        }
+        failed = check_gate(&LINT, paths, failed);
     }
     if second.disk_hits == 0 {
         eprintln!(

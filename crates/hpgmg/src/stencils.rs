@@ -53,7 +53,7 @@ impl Names {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Coeff {
     /// β ≡ 1: the operator folds to the constant 7-point Laplacian and
-    /// every group linearizes onto the executors' FMA fast path.
+    /// every group has a linear closed form.
     Constant,
     /// Analytic β read from the face grids (divergence form).
     Variable,
@@ -335,6 +335,7 @@ mod tests {
     use super::*;
     use snowflake_analysis::{greedy_phases, is_parallel_safe, ResolvedStencil};
     use snowflake_core::ShapeMap;
+    use snowflake_ir::ClosedForm;
 
     fn shapes(l: usize, n: usize) -> ShapeMap {
         let mut m = ShapeMap::new();
@@ -377,16 +378,22 @@ mod tests {
         assert!(is_parallel_safe(&resolved[13]));
     }
 
+    /// Lower a level-0 group at 8³ and derive its closed forms.
+    fn closed_forms(group: &StencilGroup) -> snowflake_ir::Lowered {
+        let mut lowered =
+            snowflake_ir::lower_group(group, &shapes(0, 8), &Default::default()).unwrap();
+        snowflake_backends::specialize::specialize_lowered(&mut lowered);
+        lowered
+    }
+
     #[test]
     fn cc_gsrb_linearizes() {
-        // The constant-coefficient GSRB update must hit the FMA fast path.
+        // The constant-coefficient GSRB update has a linear closed form.
         let names = Names::level(0);
         let group = gsrb_smooth_group(&names, Coeff::Constant, 0.0, 1.0, 64.0);
-        let lowered =
-            snowflake_ir::lower_group(&group, &shapes(0, 8), &Default::default()).unwrap();
-        for k in &lowered.kernels {
+        for k in &closed_forms(&group).kernels {
             assert!(
-                k.linear.is_some(),
+                matches!(k.form, Some(ClosedForm::Linear(_))),
                 "kernel {:?} should linearize for CC",
                 k.name
             );
@@ -397,14 +404,16 @@ mod tests {
     fn vc_gsrb_does_not_linearize() {
         let names = Names::level(0);
         let group = gsrb_smooth_group(&names, Coeff::Variable, 0.0, 1.0, 64.0);
-        let lowered =
-            snowflake_ir::lower_group(&group, &shapes(0, 8), &Default::default()).unwrap();
+        let lowered = closed_forms(&group);
         let red = lowered
             .kernels
             .iter()
             .find(|k| k.name.contains("red"))
             .unwrap();
-        assert!(red.linear.is_none(), "VC update is not a linear form");
+        assert!(
+            matches!(red.form, Some(ClosedForm::Poly(_))),
+            "VC update is a sum of products, not a linear form"
+        );
     }
 
     #[test]

@@ -167,20 +167,47 @@ fn measure_stack(ops: &[Op]) -> usize {
     max
 }
 
-/// A constant-coefficient linear combination of reads:
-/// `bias + Σ coeff_i · grid[cursor[class_i] + delta_i]`.
+/// A kernel's closed form: the arithmetic of its [`Program`] recognized as
+/// a constant-coefficient linear combination or a bounded sum of products
+/// of reads, stored structure-of-arrays so executors run tight loops over
+/// parallel coefficient/offset tables.
+///
+/// **Bitwise contract**: every evaluator (the Rust row executors, the
+/// `checked` reference, the emitted C) performs, per output element, the
+/// same left fold in table order — `acc = bias; acc += coeff·read` for
+/// linear, `prod = coeff; prod *= read…; acc += prod` for poly — so they
+/// agree bit for bit.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ClosedForm {
+    /// Constant-coefficient linear combination of reads.
+    Linear(LinearForm),
+    /// Bounded sum of products of reads.
+    Poly(PolyForm),
+}
+
+/// A constant-coefficient linear stencil,
+/// `bias + Σ_t coeffs[t] · grid[cursor[classes[t]] + deltas[t]]`.
 ///
 /// Most scientific stencils (constant-coefficient Laplacians, Jacobi
-/// smoothers, restriction, interpolation, boundary negation) lower to this
-/// form; executors run it as a fused multiply-add loop instead of
-/// interpreting bytecode. Variable-coefficient operators (products of two
-/// reads) do not linearize and stay on the bytecode path.
+/// smoothers, restriction, interpolation, boundary negation) take this
+/// form. Variable-coefficient operators (products of two reads) do not.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LinearForm {
-    /// `(class, delta, coeff)` triples.
-    pub terms: Vec<(u32, isize, f64)>,
-    /// Constant bias.
+    /// Constant bias (the accumulator's initial value).
     pub bias: f64,
+    /// Cursor class per term.
+    pub classes: Vec<u32>,
+    /// Flat element offset per term.
+    pub deltas: Vec<isize>,
+    /// Coefficient per term.
+    pub coeffs: Vec<f64>,
+}
+
+impl LinearForm {
+    /// Number of terms.
+    pub fn arity(&self) -> usize {
+        self.coeffs.len()
+    }
 }
 
 /// Try to express a program as a [`LinearForm`]. Returns `None` when the
@@ -254,8 +281,10 @@ pub fn linearize(program: &Program) -> Option<LinearForm> {
         return None;
     }
     Some(LinearForm {
-        terms: top.terms,
         bias: top.bias,
+        classes: top.terms.iter().map(|t| t.0).collect(),
+        deltas: top.terms.iter().map(|t| t.1).collect(),
+        coeffs: top.terms.iter().map(|t| t.2).collect(),
     })
 }
 
@@ -267,46 +296,25 @@ fn merge_term(terms: &mut Vec<(u32, isize, f64)>, class: u32, delta: isize, coef
     }
 }
 
-/// A polynomial (sum-of-products) form:
-/// `bias + Σ coeff_t · Π_r grid[cursor[class_r] + delta_r]`.
+/// A sum-of-products (variable-coefficient) stencil,
+/// `bias + Σ_t coeffs[t] · Π_r grid[cursor[read_classes[r]] + read_deltas[r]]`,
+/// with the reads stored term-major (`lens[t]` of them per term).
 ///
 /// Variable-coefficient stencils (products of a coefficient read and a
 /// solution read, e.g. `β·(x₊ − x₀)` or `dinv·(rhs − Ax)`) expand into a
-/// bounded number of such terms; executors evaluate them as flat
-/// multiply-accumulate chains, far cheaper than interpreting bytecode.
+/// bounded number of such terms.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PolyForm {
-    /// Constant bias.
+    /// Constant bias (the accumulator's initial value).
     pub bias: f64,
-    /// `(coeff, reads)` terms; each read is `(class, delta)`.
-    pub terms: Vec<(f64, Vec<(u32, isize)>)>,
-    /// Flattened execution tables (term coefficients, read counts per
-    /// term, and all reads back to back) — the hot loop walks these
-    /// contiguously instead of chasing per-term heap pointers.
-    pub flat_coeffs: Vec<f64>,
-    /// Reads per term, parallel to `flat_coeffs`.
-    pub flat_lens: Vec<u32>,
-    /// All `(class, delta)` reads, term-major.
-    pub flat_reads: Vec<(u32, isize)>,
-}
-
-impl PolyForm {
-    /// Build from structured terms, computing the flat tables.
-    pub fn from_terms(bias: f64, terms: Vec<(f64, Vec<(u32, isize)>)>) -> Self {
-        let flat_coeffs: Vec<f64> = terms.iter().map(|t| t.0).collect();
-        // A product term holds a few reads; u32 cannot truncate.
-        #[allow(clippy::cast_possible_truncation)]
-        let flat_lens: Vec<u32> = terms.iter().map(|t| t.1.len() as u32).collect();
-        let flat_reads: Vec<(u32, isize)> =
-            terms.iter().flat_map(|t| t.1.iter().copied()).collect();
-        PolyForm {
-            bias,
-            terms,
-            flat_coeffs,
-            flat_lens,
-            flat_reads,
-        }
-    }
+    /// Coefficient per term.
+    pub coeffs: Vec<f64>,
+    /// Reads per term, parallel to `coeffs`.
+    pub lens: Vec<u32>,
+    /// Cursor class per read, term-major.
+    pub read_classes: Vec<u32>,
+    /// Flat element offset per read, term-major.
+    pub read_deltas: Vec<isize>,
 }
 
 /// Expansion guards: refuse pathological blow-ups and fall back to
@@ -403,7 +411,17 @@ pub fn polynomialize(program: &Program) -> Option<PolyForm> {
     if !stack.is_empty() {
         return None;
     }
-    Some(PolyForm::from_terms(top.bias, top.terms))
+    // A product term holds at most POLY_MAX_DEGREE reads.
+    #[allow(clippy::cast_possible_truncation)]
+    let lens = top.terms.iter().map(|t| t.1.len() as u32).collect();
+    let reads = || top.terms.iter().flat_map(|t| t.1.iter());
+    Some(PolyForm {
+        bias: top.bias,
+        coeffs: top.terms.iter().map(|t| t.0).collect(),
+        lens,
+        read_classes: reads().map(|r| r.0).collect(),
+        read_deltas: reads().map(|r| r.1).collect(),
+    })
 }
 
 fn poly_add_term(
@@ -571,10 +589,11 @@ mod tests {
         let (p, _) = lower(&e);
         let lf = linearize(&p).expect("linear");
         assert_eq!(lf.bias, 1.5);
-        assert_eq!(lf.terms.len(), 3);
-        assert!(lf.terms.contains(&(0, 1, 2.0)));
-        assert!(lf.terms.contains(&(0, 0, -4.0)));
-        assert!(lf.terms.contains(&(0, -1, 2.0)));
+        // Terms keep first-appearance order, one parallel table per field.
+        assert_eq!(lf.arity(), 3);
+        assert_eq!(lf.classes, vec![0, 0, 0]);
+        assert_eq!(lf.deltas, vec![1, 0, -1]);
+        assert_eq!(lf.coeffs, vec![2.0, -4.0, 2.0]);
     }
 
     #[test]
@@ -582,7 +601,10 @@ mod tests {
         let e = Expr::read_at("x", &[0, 0]) + Expr::read_at("x", &[0, 0]);
         let (p, _) = lower(&e);
         let lf = linearize(&p).unwrap();
-        assert_eq!(lf.terms, vec![(0, 0, 2.0)]);
+        assert_eq!(
+            (lf.classes, lf.deltas, lf.coeffs),
+            (vec![0], vec![0], vec![2.0])
+        );
     }
 
     #[test]
@@ -605,7 +627,7 @@ mod tests {
         let e = -((Expr::read_at("x", &[0, 0]) - 3.0) / 2.0);
         let (p, classes) = lower(&e);
         let lf = linearize(&p).unwrap();
-        assert_eq!(lf.terms, vec![(0, 0, -0.5)]);
+        assert_eq!((&lf.deltas, &lf.coeffs), (&vec![0], &vec![-0.5]));
         assert_eq!(lf.bias, 1.5);
         // Cross-check against the bytecode evaluation.
         let data: Vec<f64> = (0..32).map(|i| i as f64).collect();
@@ -613,11 +635,28 @@ mod tests {
         let cursors = vec![7isize; classes.len()];
         let direct = eval_checked(&p, &classes, &cursors, &grids);
         let via_lf = lf.bias
-            + lf.terms
-                .iter()
-                .map(|&(c, d, k)| k * data[(cursors[c as usize] + d) as usize])
+            + (0..lf.arity())
+                .map(|t| {
+                    let idx = cursors[lf.classes[t] as usize] + lf.deltas[t];
+                    lf.coeffs[t] * data[idx as usize]
+                })
                 .sum::<f64>();
         assert!((direct - via_lf).abs() < 1e-15);
+    }
+
+    #[test]
+    fn polynomialize_stores_reads_term_major() {
+        // 0.25 + 3·x[0,0]·y[1,0] − y[0,-1]: two terms, three reads.
+        let e = Expr::Const(0.25) + 3.0 * Expr::read_at("x", &[0, 0]) * Expr::read_at("y", &[1, 0])
+            - Expr::read_at("y", &[0, -1]);
+        let (p, _) = lower(&e);
+        assert!(linearize(&p).is_none());
+        let pf = polynomialize(&p).expect("sum of products");
+        assert_eq!(pf.bias, 0.25);
+        assert_eq!(pf.coeffs, vec![3.0, -1.0]);
+        assert_eq!(pf.lens, vec![2, 1]);
+        assert_eq!(pf.read_classes, vec![0, 1, 1]);
+        assert_eq!(pf.read_deltas, vec![0, 8, -1]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use snowflake_grid::Region;
 
-use crate::bytecode::Program;
+use crate::bytecode::{ClosedForm, Program};
 
 /// A cursor class: every read sharing a `(grid, scale)` pair advances one
 /// linear cursor. The executor initializes the cursor to
@@ -51,17 +51,11 @@ pub struct LoweredKernel {
     pub out_delta: isize,
     /// The arithmetic program producing the value to store.
     pub program: Program,
-    /// Fast-path linear form of `program`, when the expression is a
-    /// constant-coefficient linear combination of reads.
-    pub linear: Option<crate::bytecode::LinearForm>,
-    /// Fast-path sum-of-products form, populated when the expression is
-    /// polynomial in its reads but not linear (variable-coefficient
-    /// operators). `None` when `linear` is set or expansion blows up.
-    pub poly: Option<crate::bytecode::PolyForm>,
-    /// Closed-form specialization record, attached by the backend
-    /// specialization pass when the kernel matched and the backend enables
-    /// specialization. `None` straight out of lowering.
-    pub spec: Option<crate::spec::SpecKernel>,
+    /// Closed form of `program`, derived by the backend specialization
+    /// pass (`snowflake_backends::specialize::specialize_lowered`). `None`
+    /// straight out of lowering, and for arithmetic that is neither linear
+    /// nor a bounded sum of products (it stays on the bytecode program).
+    pub form: Option<ClosedForm>,
     /// Resolved iteration regions (one per member of the domain union).
     pub regions: Vec<Region>,
     /// May iterations run concurrently (Diophantine verdict)?

@@ -11,7 +11,10 @@
 //! * [`bytecode`] — lowers an [`snowflake_core::Expr`] into a stack
 //!   program whose reads are *cursor-class + constant-delta* addresses, so
 //!   inner loops advance a handful of linear cursors instead of
-//!   re-linearizing indices.
+//!   re-linearizing indices; and recognizes a program's closed form
+//!   ([`ClosedForm`]: a linear combination or a bounded sum of products of
+//!   reads, in structure-of-arrays layout) for the backends'
+//!   specialization pass to attach.
 //! * [`kernel`] — a lowered stencil: output access, regions, program,
 //!   parallel-safety verdict and point count.
 //! * [`lower`] — lowers a whole [`snowflake_core::StencilGroup`] against
@@ -20,18 +23,13 @@
 //! * [`tile`] — region tiling and region∩box intersection, the substrate
 //!   for the OpenMP backend's arbitrary-dimension blocking and multicolor
 //!   reordering and the OpenCL backend's tall-skinny blocking.
-//! * [`spec`] — closed-form specialization records (structure-of-arrays
-//!   re-layouts of the linear/poly fast paths) attached to kernels by the
-//!   backend specialization pass.
 
 pub mod bytecode;
 pub mod kernel;
 pub mod lower;
-pub mod spec;
 pub mod tile;
 
-pub use bytecode::{Op, Program};
+pub use bytecode::{ClosedForm, LinearForm, Op, PolyForm, Program};
 pub use kernel::{AccessClass, LoweredKernel};
 pub use lower::{lower_group, LowerOptions, Lowered};
-pub use spec::{SpecForm, SpecKernel, SpecLinear, SpecPoly};
 pub use tile::{intersect_box, tile_region};

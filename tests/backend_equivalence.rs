@@ -396,6 +396,83 @@ fn equivalence_on_4d_stencil() {
     );
 }
 
+/// A sequential (not parallel-safe) kernel with a closed form, in place
+/// over the interior of a 34² grid. The Rust backends run the form one
+/// point at a time in canonical order, bit for bit like the per-point
+/// `checked` reference; cjit renders the same left fold, so it matches
+/// `seq` bit for bit too (skipped without a C compiler). `dist` refuses
+/// sequential kernels, so it is not compared.
+fn assert_sequential_closed_form_is_bitwise(expr: Expr) {
+    use snowflake::analysis::{is_parallel_safe, ResolvedStencil};
+    use snowflake::backends::CheckedBackend;
+
+    let stencil = Stencil::new(expr, "x", RectDomain::interior(2));
+    let make = || {
+        let mut gs = GridSet::new();
+        for (name, seed) in [("x", 41u64), ("a", 42), ("b", 43)] {
+            let mut g = Grid::new(&[34, 34]);
+            g.fill_random(seed, -1.0, 1.0);
+            gs.insert(name, g);
+        }
+        gs
+    };
+    let shapes = make().shapes();
+    assert!(!is_parallel_safe(
+        &ResolvedStencil::resolve(&stencil, &shapes).unwrap()
+    ));
+    let group = StencilGroup::from(stencil);
+    let run = |backend: &dyn Backend| {
+        let mut gs = make();
+        let mut report = RunReport::new();
+        backend
+            .compile(&group, &shapes)
+            .unwrap_or_else(|e| panic!("{} compile: {e}", backend.name()))
+            .run_with_report(&mut gs, &mut report)
+            .unwrap_or_else(|e| panic!("{} run: {e}", backend.name()));
+        (gs.get("x").unwrap().as_slice().to_vec(), report)
+    };
+    let (reference, _) = run(&CheckedBackend::new());
+    let (seq, report) = run(&SequentialBackend::new());
+    assert_eq!(report.spec.kernels_specialized, 1, "the form is engaged");
+    assert!(seq == reference, "seq deviates from checked");
+    let others: [Box<dyn Backend>; 2] = [
+        Box::new(OmpBackend::new()),
+        Box::new(OclSimBackend::new().with_workgroup(2, 4)),
+    ];
+    for backend in others {
+        let (got, _) = run(backend.as_ref());
+        assert!(got == reference, "{} deviates from checked", backend.name());
+    }
+    if CJitBackend::available() {
+        let (cjit, _) = run(&CJitBackend::new());
+        let diff = cjit
+            .iter()
+            .zip(&seq)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max);
+        assert!(cjit == seq, "cjit deviates from seq by {diff}");
+    } else {
+        eprintln!("skipping cjit: no host C compiler");
+    }
+}
+
+#[test]
+fn sequential_linear_closed_form_is_bitwise_on_every_backend() {
+    let x = |i: i64, j: i64| Expr::read_at("x", &[i, j]);
+    assert_sequential_closed_form_is_bitwise(
+        (x(-1, 0) + x(1, 0) + x(0, -1) + x(0, 1) + 2.0 * x(0, 0)) / 6.0,
+    );
+}
+
+#[test]
+fn sequential_poly_closed_form_is_bitwise_on_every_backend() {
+    let x = |i: i64, j: i64| Expr::read_at("x", &[i, j]);
+    assert_sequential_closed_form_is_bitwise(
+        0.3 * Expr::read_at("a", &[0, 0]) * (x(-1, 0) + x(0, -1))
+            + Expr::read_at("b", &[0, 0]) / 3.0,
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     /// Randomized linear stencils over randomized strided domains: all

@@ -1,8 +1,9 @@
-//! Specialization equivalence: the plan-time kernel specializer is a pure
-//! re-layout of the lowered bytecode — same reads, same multiplies, same
-//! left-to-right accumulation — so the specialized backends must not
-//! differ by a single bit from the unspecialized `checked` reference
-//! backend (which mirrors the per-point row forms term for term). These
+//! Specialization equivalence: the chunked row executors evaluate each
+//! kernel's closed form with the same reads, the same multiplies and the
+//! same left-to-right accumulation per element as the `checked` reference
+//! backend, which evaluates those forms one point at a time in canonical
+//! order — so the compiled backends must not differ from it by a single
+//! bit. These
 //! tests pin that contract on the full HPGMG V-cycle plan and on
 //! randomized const-coefficient stencils, and check that `verify_plan`
 //! still certifies specialized plans (specialization runs after lowering,
@@ -32,8 +33,9 @@ fn solve_with_metrics(
 
 /// The headline equivalence: a full multi-level V-cycle solve — smoothers,
 /// residuals, boundary fills, inter-grid transfers — produces the exact
-/// same residual history whether the kernels run through the specialized
-/// closed forms or the unspecialized `checked` reference.
+/// same residual history whether the kernels run through the chunked row
+/// executors or the per-point `checked` reference (which stamps no `spec`
+/// counters into its reports).
 #[test]
 fn hpgmg_vcycle_is_bitwise_identical_with_specialization_off() {
     let problem = Problem::poisson_vc(8);
@@ -64,7 +66,7 @@ fn hpgmg_vcycle_is_bitwise_identical_with_specialization_off() {
         );
         assert_eq!(
             report_off.spec.kernels_specialized, 0,
-            "{name}: the checked reference never specializes"
+            "{name}: the checked reference stamps no spec counters"
         );
     }
 }
@@ -114,8 +116,8 @@ fn verify_certifies_specialized_hpgmg_plan() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
     /// Randomized const-coefficient stencils — the specializer's prime
-    /// target (SpecLinear) — are bitwise identical on the specialized
-    /// backends and the unspecialized `checked` reference.
+    /// target (a linear closed form) — are bitwise identical on the
+    /// compiled backends and the per-point `checked` reference.
     #[test]
     fn random_const_coefficient_stencils_specialize_bitwise(
         seed in 0u64..1_000,
